@@ -11,17 +11,10 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from lindbladsde.lindblad import integrate_ode
 from lindbladsde.operators import frobenius
-from lindbladsde.presets import PRESET_NAMES, preset_model
+from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
 from lindbladsde.unraveling import run_ensemble
-
-
-def plus_state(dim):
-    amp = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    return np.outer(amp, amp.conj())
 
 
 def main():
@@ -35,7 +28,7 @@ def main():
     args = parser.parse_args()
 
     model = preset_model(args.preset)
-    rho0 = plus_state(model.dim)
+    rho0 = uniform_superposition(model.dim)
     steps = round(args.t_final / args.dt)
     reference = integrate_ode(model, rho0, args.t_final, args.dt / 10.0,
                               record_every=steps * 10)

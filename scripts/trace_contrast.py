@@ -14,14 +14,9 @@ import argparse
 
 import numpy as np
 
-from lindbladsde.presets import PRESET_NAMES, preset_model
+from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
 from lindbladsde.lindblad import validate_model
 from lindbladsde.unraveling import run_ensemble, run_trajectory
-
-
-def plus_state(dim):
-    amp = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    return np.outer(amp, amp.conj())
 
 
 def main():
@@ -37,7 +32,7 @@ def main():
     print(header)
     for name in PRESET_NAMES:
         model = preset_model(name)
-        rho0 = plus_state(model.dim)
+        rho0 = uniform_superposition(model.dim)
         constrained = validate_model(model).trajectory_trace_preserving
 
         worst = 0.0

@@ -7,38 +7,25 @@ channels with Choi certificates.
 """
 
 from .channels import KrausChannel, apply_kraus, build_infinitesimal_kraus, choi_of, is_trace_preserving
-from .ito import (
-    DerivationResult,
-    ItoContext,
-    ItoPolynomial,
-    derive_stochastic_evolution,
-    ito_expectation,
-    ito_mul,
-)
+from .ito import DerivationResult, ItoPolynomial, derive_stochastic_evolution, ito_mul
 from .lindblad import (
     LindbladModel,
+    NoiseBasis,
     NumericalError,
     OdeTrajectory,
     ValidationReport,
+    diagonalize_covariance,
     drift_operator,
     integrate_ode,
     lindblad_rhs,
     validate_model,
 )
-from .operators import (
-    adjoint,
-    commutator,
-    eig_hermitian,
-    hermitian_part,
-    psd_factor,
-)
-from .presets import PRESET_NAMES, preset_model
+from .operators import adjoint, commutator, hermitian_part
+from .presets import PRESET_NAMES, preset_model, uniform_superposition
 from .unraveling import (
     EnsembleDiagnostics,
     EnsembleStats,
-    NoiseBasis,
     Trajectory,
-    diagonalize_covariance,
     run_ensemble,
     run_trajectory,
     sample_increments,

@@ -41,13 +41,8 @@ from .lindblad import (
     step_count,
     validate_model,
 )
-from .operators import (
-    check_hermitian,
-    frobenius,
-    matrix_from_literal,
-    real_matrix_from_literal,
-)
-from .presets import PRESET_NAMES, preset_model
+from .operators import frobenius, matrix_from_literal, real_matrix_from_literal
+from .presets import PRESET_NAMES, preset_model, uniform_superposition
 from .unraveling import STEPPERS, _min_eigenvalues, _purities, run_ensemble
 
 EXIT_OK = 0
@@ -77,7 +72,6 @@ class RunConfig:
     seed: int = 0
     record_every: int = 1
     stepper: str = "euler"
-    observables: tuple = ()  # optional Hermitian matrices; adds CSV columns
 
     def __post_init__(self):
         if self.t_final <= 0 or self.dt <= 0:
@@ -86,8 +80,6 @@ class RunConfig:
             raise ValueError("trajectories, record_every must be positive; seed nonnegative")
         if self.stepper not in STEPPERS:
             raise ValueError(f"stepper must be one of {STEPPERS}")
-        for obs in self.observables:
-            check_hermitian(obs, name="observable")
 
 
 def parse_model(path_or_preset: str) -> LindbladModel:
@@ -198,16 +190,13 @@ def _state_cells(t: float, rho: np.ndarray) -> list[str]:
     return cells
 
 
-def _states_csv(times, states, observables, extra_header=(), extra_cells=None) -> str:
+def _states_csv(times, states, extra_header=(), extra_cells=None) -> str:
     header = _state_header(states.shape[-1]) + list(extra_header)
-    header += [f"obs_{k}_re" for k in range(len(observables))]
     lines = [",".join(header)]
     for idx, (t, rho) in enumerate(zip(times, states)):
         cells = _state_cells(t, rho)
         if extra_cells is not None:
             cells.append(_format(extra_cells[idx]))
-        for obs in observables:
-            cells.append(_format(np.trace(obs @ rho).real))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -216,12 +205,6 @@ def _write_output(path: str, content: str) -> None:
     # Content is fully built before the file is opened, so a failed
     # computation never leaves a partial file behind.
     Path(path).write_text(content)
-
-
-def _initial_state(dim: int) -> np.ndarray:
-    # Uniform superposition: every preset shows nontrivial coherences.
-    amp = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    return np.outer(amp, amp.conj())
 
 
 def cmd_check(args) -> int:
@@ -237,9 +220,9 @@ def cmd_ode(args) -> int:
     model = parse_model(args.model)
     config = _config_from(args)
     _check_grid(config, args)
-    trajectory = integrate_ode(model, _initial_state(model.dim),
+    trajectory = integrate_ode(model, uniform_superposition(model.dim),
                                config.t_final, config.dt, config.record_every)
-    content = _states_csv(trajectory.times, trajectory.states, config.observables)
+    content = _states_csv(trajectory.times, trajectory.states)
     _write_output(args.out, content)
     return EXIT_OK
 
@@ -250,11 +233,11 @@ def cmd_sde(args) -> int:
     _check_grid(config, args)
     # results are worker-count independent, so threading is safe here
     stats, diagnostics = run_ensemble(
-        model, _initial_state(model.dim), config.t_final, config.dt,
+        model, uniform_superposition(model.dim), config.t_final, config.dt,
         config.trajectories, config.seed, config.record_every, config.stepper,
         workers=min(4, os.cpu_count() or 1),
     )
-    content = _states_csv(stats.times, stats.mean_state, config.observables,
+    content = _states_csv(stats.times, stats.mean_state,
                           extra_header=("stderr",), extra_cells=stats.stderr)
     _write_output(args.out, content)
     print(f"trajectories={stats.trajectory_count} seed={stats.seed} "

@@ -22,32 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import LindbladModel, drift_operator
-from .operators import CLIP_TOL, SYM_TOL, adjoint, check_real_symmetric, readonly
-
-
-@dataclass(frozen=True)
-class ItoContext:
-    """Covariance of the noise increments: real symmetric, PSD, unit diagonal."""
-
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        c = check_real_symmetric(np.asarray(self.covariance, dtype=float))
-        diag_defect = float(np.max(np.abs(np.diag(c) - 1.0)))
-        if diag_defect > SYM_TOL:
-            raise ValueError(
-                f"ItoContext: covariance diagonal differs from 1 by {diag_defect:.3e}"
-            )
-        smallest = float(np.linalg.eigvalsh(c)[0])
-        if smallest < -CLIP_TOL:
-            raise ValueError(
-                f"ItoContext: covariance not PSD (min eigenvalue {smallest:.3e})"
-            )
-        object.__setattr__(self, "covariance", readonly(c))
-
-    @property
-    def noise_count(self) -> int:
-        return self.covariance.shape[0]
+from .operators import adjoint, readonly
 
 
 @dataclass(frozen=True)
@@ -117,32 +92,24 @@ class ItoPolynomial:
             )
 
 
-def ito_mul(ctx: ItoContext, p: ItoPolynomial, q: ItoPolynomial) -> ItoPolynomial:
-    """Product in the truncated algebra.
+def ito_mul(model: LindbladModel, p: ItoPolynomial, q: ItoPolynomial) -> ItoPolynomial:
+    """Product in the truncated algebra, with cov the model's validated covariance.
 
     const: p.const q.const
     dW^n:  p.const q.dw[n] + p.dw[n] q.const
     dt:    p.const q.dt + p.dt q.const + sum_{m,n} cov[m,n] p.dw[m] q.dw[n]
     """
     p._check_compatible(q, "multiply")
-    if p.noise_count != ctx.noise_count:
+    if p.noise_count != model.noise_count:
         raise ValueError(
             f"polynomial noise count {p.noise_count} does not match "
-            f"context {ctx.noise_count}"
+            f"model {model.noise_count}"
         )
     const = p.const_term @ q.const_term
     dw = p.const_term @ q.dw_terms + p.dw_terms @ q.const_term
     dt = (p.const_term @ q.dt_term + p.dt_term @ q.const_term
-          + np.einsum("mab,mn,nbc->ac", p.dw_terms, ctx.covariance, q.dw_terms))
+          + np.einsum("mab,mn,nbc->ac", p.dw_terms, model.covariance, q.dw_terms))
     return ItoPolynomial(const, dt, dw)
-
-
-def ito_expectation(p: ItoPolynomial):
-    """Expectation over the noise: the dW slots average to zero.
-
-    Returns (const coefficient, dt coefficient) unchanged.
-    """
-    return np.array(p.const_term), np.array(p.dt_term)
 
 
 @dataclass(frozen=True)
@@ -195,11 +162,10 @@ def derive_stochastic_evolution(model: LindbladModel,
             f"derive_stochastic_evolution: state shape {rho.shape} does not "
             f"match dim {model.dim}"
         )
-    ctx = ItoContext(model.covariance)
     rho_poly = ItoPolynomial.constant(rho, model.noise_count)
     total = ItoPolynomial.zero(model.dim, model.noise_count)
     for a_n in infinitesimal_operator_polynomials(model):
-        total = total + ito_mul(ctx, ito_mul(ctx, a_n, rho_poly), a_n.adjoint())
+        total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), a_n.adjoint())
     increment = total - rho_poly
     drift = np.array(increment.dt_term)
     return DerivationResult(

@@ -16,7 +16,6 @@ import numpy as np
 
 from .operators import (
     CLIP_TOL,
-    HERMITICITY_TOL,
     SYM_TOL,
     adjoint,
     check_density_matrix,
@@ -36,12 +35,69 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class NoiseBasis:
+    """Orthogonal eigenbasis of the increment covariance.
+
+    eigenvalues are ascending and clipped so that anything within CLIP_TOL
+    of zero is exactly zero; active_count is the number of strictly
+    positive eigenvalues. Directions with zero eigenvalue never receive a
+    random draw. smallest_raw_eigenvalue is the smallest eigenvalue before
+    clipping, kept as the PSD diagnostic.
+    """
+
+    orthogonal: np.ndarray   # (N, N), columns are eigenvectors
+    eigenvalues: np.ndarray  # (N,), ascending, >= 0
+    active_count: int
+    smallest_raw_eigenvalue: float
+
+    def __post_init__(self):
+        o = np.asarray(self.orthogonal, dtype=float)
+        w = np.asarray(self.eigenvalues, dtype=float)
+        n = o.shape[0]
+        if o.shape != (n, n) or w.shape != (n,):
+            raise ValueError("NoiseBasis: inconsistent shapes")
+        if np.linalg.norm(o.T @ o - np.eye(n)) > 1e-10:
+            raise ValueError("NoiseBasis: basis is not orthogonal within 1e-10")
+        if np.any(w < 0.0):
+            raise ValueError("NoiseBasis: eigenvalues must be nonnegative")
+        object.__setattr__(self, "orthogonal", readonly(o))
+        object.__setattr__(self, "eigenvalues", readonly(w))
+
+    @property
+    def noise_count(self) -> int:
+        return self.eigenvalues.shape[0]
+
+
+def diagonalize_covariance(c: np.ndarray) -> NoiseBasis:
+    """Eigendecompose a PSD covariance, zeroing eigenvalues within CLIP_TOL.
+
+    This is the package's one eigendecomposition of a covariance; a model
+    runs it once at construction and keeps the result as its noise_basis.
+    """
+    c = check_real_symmetric(c)
+    w, o = np.linalg.eigh(c)
+    smallest = float(w[0])
+    if smallest < -CLIP_TOL:
+        raise ValueError(
+            f"covariance: not positive semidefinite "
+            f"(min eigenvalue {smallest:.3e} < -{CLIP_TOL:.1e})"
+        )
+    w = w.copy()
+    w[w <= CLIP_TOL] = 0.0
+    return NoiseBasis(orthogonal=o, eigenvalues=w,
+                      active_count=int(np.count_nonzero(w > 0.0)),
+                      smallest_raw_eigenvalue=smallest)
+
+
+@dataclass(frozen=True)
 class LindbladModel:
     """Validated open-system model.
 
     Construction enforces the hard invariants: H Hermitian, weights positive
     with unit square-sum, covariance symmetric with unit diagonal and
-    positive semidefinite. The soft per-trajectory trace constraint is
+    positive semidefinite. The PSD check is the covariance's one
+    eigendecomposition, kept as noise_basis for the runners and for
+    :func:`validate_model`. The soft per-trajectory trace constraint is
     reported by :func:`validate_model`, never enforced here. All arrays are
     copied and frozen, so a model is safe to share across threads.
     """
@@ -50,6 +106,7 @@ class LindbladModel:
     lindblad_ops: np.ndarray   # shape (N, d, d)
     weights: np.ndarray        # shape (N,), positive, sum of squares 1
     covariance: np.ndarray     # shape (N, N), unit diagonal, PSD
+    noise_basis: NoiseBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = check_hermitian(np.asarray(self.hamiltonian, dtype=complex), name="hamiltonian")
@@ -86,17 +143,13 @@ class LindbladModel:
                 f"covariance: diagonal differs from 1 by {diag_defect:.3e} "
                 f"(tolerance {SYM_TOL:.1e})"
             )
-        smallest = float(np.linalg.eigvalsh(c)[0])
-        if smallest < -CLIP_TOL:
-            raise ValueError(
-                f"covariance: not positive semidefinite "
-                f"(min eigenvalue {smallest:.3e} < -{CLIP_TOL:.1e})"
-            )
 
         object.__setattr__(self, "hamiltonian", readonly(h))
         object.__setattr__(self, "lindblad_ops", readonly(ops))
         object.__setattr__(self, "weights", readonly(w))
         object.__setattr__(self, "covariance", readonly(c))
+        # Raises on an indefinite covariance, so no invalid model escapes.
+        object.__setattr__(self, "noise_basis", diagonalize_covariance(self.covariance))
 
     @property
     def dim(self) -> int:
@@ -141,18 +194,17 @@ def validate_model(model: LindbladModel) -> ValidationReport:
     exactly, not just in the ensemble mean.
     """
     w = model.weights
-    c = model.covariance
+    basis = model.noise_basis
     weight_residual = abs(float(np.sum(w * w)) - 1.0)
-    diagonal_residual = float(np.max(np.abs(np.diag(c) - 1.0)))
-    eigs, basis = np.linalg.eigh(c)
-    psd_residual = float(max(0.0, -eigs[0]))
+    diagonal_residual = float(np.max(np.abs(np.diag(model.covariance) - 1.0)))
+    psd_residual = max(0.0, -basis.smallest_raw_eigenvalue)
 
     # sum_n d_n (v_n + v_n^dagger) O[n, r] must vanish for every eigenvector
     # with a positive eigenvalue; null directions never receive noise.
     herm_parts = model.lindblad_ops + adjoint(model.lindblad_ops)
-    active = np.flatnonzero(eigs > CLIP_TOL)
+    active = np.flatnonzero(basis.eigenvalues > 0.0)
     residuals = np.array([
-        frobenius(np.einsum("n,n,nab->ab", w, basis[:, r], herm_parts))
+        frobenius(np.einsum("n,n,nab->ab", w, basis.orthogonal[:, r], herm_parts))
         for r in active
     ])
     preserving = bool(np.all(residuals <= DRIFT_CONSTRAINT_TOL)) if residuals.size else True

@@ -17,7 +17,6 @@ SYM_TOL = 1e-10          # relative symmetry / unit-diagonal defect for covarian
 TRACE_TOL = 1e-8         # |tr(rho) - 1| allowed in a density matrix
 PSD_TOL = 1e-8           # eigenvalue floor allowed in a density matrix
 CLIP_TOL = 1e-10         # covariance eigenvalues within this of zero count as zero
-FACTOR_TOL = 1e-10       # reconstruction error allowed in PSD factorizations
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -100,38 +99,6 @@ def check_real_symmetric(c: np.ndarray, tol: float = SYM_TOL,
     if frobenius(c - c.T) > tol * scale:
         raise ValueError(f"{name}: not symmetric within {tol:.1e}")
     return c
-
-
-def eig_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns) with
-    m = V @ diag(w) @ V^dagger. Rejects inputs whose Hermiticity defect
-    exceeds ``tol``; the Hermitian part is what gets decomposed.
-    """
-    m = check_hermitian(m, tol)
-    w, v = np.linalg.eigh(hermitian_part(m))
-    return w, v
-
-
-def psd_factor(c: np.ndarray, clip_tol: float = CLIP_TOL) -> np.ndarray:
-    """Factor a real symmetric PSD matrix as c = F @ F.T.
-
-    F has one column per eigenvalue above ``clip_tol``, in the ascending
-    order of the eigendecomposition, so its columns span the range of c
-    even when c is singular. Triangular factorizations would reject
-    singular covariances, hence the spectral route. Eigenvalues below
-    -clip_tol mean c is not PSD and are an error.
-    """
-    c = check_real_symmetric(c)
-    w, o = np.linalg.eigh(c)
-    if w[0] < -clip_tol:
-        raise ValueError(
-            f"psd_factor: matrix is not positive semidefinite "
-            f"(min eigenvalue {w[0]:.3e} < -{clip_tol:.1e})"
-        )
-    keep = np.flatnonzero(w > clip_tol)
-    return o[:, keep] * np.sqrt(w[keep])
 
 
 def matrix_from_literal(rows, name: str = "matrix") -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Built-in qubit models used by the CLI and the test suite."""
+"""Built-in qubit models and the initial state used by the CLI and the test suite."""
 
 from __future__ import annotations
 
@@ -66,6 +66,17 @@ TRACE_PRESERVING_PRESETS = (
     "stochastic-unitary-larmor",
     "two-noise-correlated",
 )
+
+
+def uniform_superposition(dim: int) -> np.ndarray:
+    """The pure state with equal amplitudes 1/sqrt(dim) on every basis state.
+
+    It is the initial state of the CLI runs: every preset shows nontrivial
+    coherences from it. Its entries are products of the rounded amplitudes
+    (0.4999999999999999 at dim=2, not 0.5), and CSV bytes depend on that.
+    """
+    amp = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    return np.outer(amp, amp.conj())
 
 
 def preset_model(name: str) -> LindbladModel:

@@ -29,20 +29,18 @@ import numpy as np
 
 from .lindblad import (
     LindbladModel,
+    NoiseBasis,
     NumericalError,
     check_step_size,
     drift_operator,
     step_count,
 )
 from .operators import (
-    CLIP_TOL,
     HERMITICITY_TOL,
     adjoint,
     check_density_matrix,
     check_hermitian,
-    check_real_symmetric,
     hermitian_part,
-    readonly,
 )
 
 STEPPERS = ("euler", "exact_unitary")
@@ -50,53 +48,6 @@ STEPPERS = ("euler", "exact_unitary")
 # Trajectories are reduced in chunks of this fixed size; the value must not
 # depend on the worker count or results would not be reproducible.
 _CHUNK_TRAJECTORIES = 4096
-
-
-@dataclass(frozen=True)
-class NoiseBasis:
-    """Orthogonal eigenbasis of the increment covariance.
-
-    eigenvalues are ascending and clipped so that anything within CLIP_TOL
-    of zero is exactly zero; active_count is the number of strictly
-    positive eigenvalues. Directions with zero eigenvalue never receive a
-    random draw.
-    """
-
-    orthogonal: np.ndarray   # (N, N), columns are eigenvectors
-    eigenvalues: np.ndarray  # (N,), ascending, >= 0
-    active_count: int
-
-    def __post_init__(self):
-        o = np.asarray(self.orthogonal, dtype=float)
-        w = np.asarray(self.eigenvalues, dtype=float)
-        n = o.shape[0]
-        if o.shape != (n, n) or w.shape != (n,):
-            raise ValueError("NoiseBasis: inconsistent shapes")
-        if np.linalg.norm(o.T @ o - np.eye(n)) > 1e-10:
-            raise ValueError("NoiseBasis: basis is not orthogonal within 1e-10")
-        if np.any(w < 0.0):
-            raise ValueError("NoiseBasis: eigenvalues must be nonnegative")
-        object.__setattr__(self, "orthogonal", readonly(o))
-        object.__setattr__(self, "eigenvalues", readonly(w))
-
-    @property
-    def noise_count(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def diagonalize_covariance(c: np.ndarray, clip_tol: float = CLIP_TOL) -> NoiseBasis:
-    """Eigendecompose a PSD covariance, zeroing eigenvalues within clip_tol."""
-    c = check_real_symmetric(c)
-    w, o = np.linalg.eigh(c)
-    if w[0] < -clip_tol:
-        raise ValueError(
-            f"diagonalize_covariance: not positive semidefinite "
-            f"(min eigenvalue {w[0]:.3e} < -{clip_tol:.1e})"
-        )
-    w = w.copy()
-    w[w <= clip_tol] = 0.0
-    return NoiseBasis(orthogonal=o, eigenvalues=w,
-                      active_count=int(np.count_nonzero(w > 0.0)))
 
 
 def sample_increments(basis: NoiseBasis, dt: float, rng: np.random.Generator,
@@ -281,7 +232,6 @@ def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
     check_step_size(model, dt)
     n_steps = step_count(t_final, dt, "run_trajectory")
     rec_indices, times = _record_grid(n_steps, record_every, dt)
-    basis = diagonalize_covariance(model.covariance)
     k_op = unitary_noise_operator(model) if stepper == "exact_unitary" else None
     rng = trajectory_rng(seed, traj_index)
 
@@ -289,7 +239,7 @@ def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
     trace = float(np.trace(rho).real)
     trace_min = trace_max = trace
     for k in range(n_steps):
-        dw = sample_increments(basis, dt, rng)
+        dw = sample_increments(model.noise_basis, dt, rng)
         if stepper == "euler":
             rho = _euler_update(model, rho, dt, dw)
         else:
@@ -323,11 +273,12 @@ def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
     return out
 
 
-def _run_chunk(model, rho0, dt, n_steps, rec_indices, basis, k_op, seed,
-               start, count, stepper):
+def _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed, start,
+               count, stepper):
     d = model.dim
     rho = np.broadcast_to(rho0, (count, d, d)).astype(complex)
-    dw = _trajectory_increments(seed, start, count, n_steps, basis, dt)
+    dw = _trajectory_increments(seed, start, count, n_steps,
+                                model.noise_basis, dt)
 
     n_rec = len(rec_indices)
     state_sum = np.zeros((n_rec, d, d), complex)
@@ -397,7 +348,6 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     check_step_size(model, dt)
     n_steps = step_count(t_final, dt, "run_ensemble")
     rec_indices, times = _record_grid(n_steps, record_every, dt)
-    basis = diagonalize_covariance(model.covariance)
     k_op = unitary_noise_operator(model) if stepper == "exact_unitary" else None
 
     starts = list(range(0, n_traj, _CHUNK_TRAJECTORIES))
@@ -405,8 +355,8 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
 
     def work(job):
         start, count = job
-        return _run_chunk(model, rho0, dt, n_steps, rec_indices, basis, k_op,
-                          seed, start, count, stepper)
+        return _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed,
+                          start, count, stepper)
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -51,6 +51,8 @@ def random_model(rng, dim, noises, anti_hermitian=False, rank=None,
     return LindbladModel(hamiltonian=h, lindblad_ops=ops, weights=w, covariance=c)
 
 
-def plus_state(dim=2):
-    amp = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    return np.outer(amp, amp.conj())
+def model_with_covariance(cov):
+    """Smallest valid model that carries a given increment covariance."""
+    n = cov.shape[0]
+    return LindbladModel(hamiltonian=np.zeros((1, 1)), lindblad_ops=np.zeros((n, 1, 1)),
+                         weights=np.full(n, 1.0 / np.sqrt(n)), covariance=cov)

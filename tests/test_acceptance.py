@@ -13,14 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import philox, plus_state, random_model, random_unit_diag_covariance
+from conftest import philox, random_model, random_unit_diag_covariance
 from lindbladsde.channels import apply_kraus, build_infinitesimal_kraus, choi_of
 from lindbladsde.ito import derive_stochastic_evolution
-from lindbladsde.lindblad import integrate_ode, lindblad_rhs
+from lindbladsde.lindblad import diagonalize_covariance, integrate_ode, lindblad_rhs
 from lindbladsde.operators import frobenius
-from lindbladsde.presets import PRESET_NAMES, TRACE_PRESERVING_PRESETS, preset_model
+from lindbladsde.presets import (
+    PRESET_NAMES,
+    TRACE_PRESERVING_PRESETS,
+    preset_model,
+    uniform_superposition,
+)
 from lindbladsde.unraveling import (
-    diagonalize_covariance,
     run_ensemble,
     run_trajectory,
     sample_increments,
@@ -67,7 +71,7 @@ def test_criterion_1_derivation_reproduction():
 def test_criterion_2_ensemble_mean_convergence():
     started = time.monotonic()
     model = preset_model("dephasing")
-    rho0 = plus_state()
+    rho0 = uniform_superposition(2)
 
     # oracle: closed form rho_01(t) = rho_01(0) exp(-t), cross-checked
     # against the deterministic integrator at a much finer step
@@ -88,20 +92,20 @@ def test_criterion_2_ensemble_mean_convergence():
 def test_criterion_3_trajectory_trace_contrast():
     for name in TRACE_PRESERVING_PRESETS:
         for seed in (0, 1, 2):
-            traj = run_trajectory(preset_model(name), plus_state(), 1.0, 1e-3,
+            traj = run_trajectory(preset_model(name), uniform_superposition(2), 1.0, 1e-3,
                                   seed=seed)
             assert abs(traj.trace_extremes[0] - 1.0) <= 1e-10
             assert abs(traj.trace_extremes[1] - 1.0) <= 1e-10
 
     # the damping model violates the constraint per trajectory
     damping = preset_model("amplitude-damping")
-    traj = run_trajectory(damping, plus_state(), 1.0, 1e-3, seed=0)
+    traj = run_trajectory(damping, uniform_superposition(2), 1.0, 1e-3, seed=0)
     assert max(abs(traj.trace_extremes[0] - 1.0),
                abs(traj.trace_extremes[1] - 1.0)) > 1e-2
 
     # while its ensemble mean still follows the master equation: the
     # excited population decays at unit rate
-    stats, _ = run_ensemble(damping, plus_state(), 1.0, 1e-3, 10_000, seed=5,
+    stats, _ = run_ensemble(damping, uniform_superposition(2), 1.0, 1e-3, 10_000, seed=5,
                             record_every=10)
     expected = 0.5 * np.exp(-stats.times)
     errors = np.abs(stats.mean_state[:, 1, 1] - expected)
@@ -111,7 +115,7 @@ def test_criterion_3_trajectory_trace_contrast():
 @criterion(4, "exact stochastic unitarity")
 def test_criterion_4_exact_unitarity():
     model = preset_model("stochastic-unitary-larmor")
-    traj = run_trajectory(model, plus_state(), 1.0, 1e-3, seed=17,
+    traj = run_trajectory(model, uniform_superposition(2), 1.0, 1e-3, seed=17,
                           stepper="exact_unitary")
     assert np.abs(traj.purity_series - 1.0).max() <= 1e-10
     eigenvalues = np.linalg.eigvalsh(traj.states)
@@ -121,7 +125,7 @@ def test_criterion_4_exact_unitarity():
 @criterion(5, "one-step channel consistent with the Euler update")
 def test_criterion_5_channel_consistency():
     model = preset_model("dephasing")
-    rho = plus_state()
+    rho = uniform_superposition(2)
     rng = philox(0xC5)
     signs = np.where(rng.standard_normal(1000) >= 0.0, 1.0, -1.0)
     mean_errors = []
@@ -175,7 +179,7 @@ def test_criterion_7_covariance_machinery():
 @criterion(8, "deterministic integrator shows fourth-order error decay")
 def test_criterion_8_ode_order():
     model = preset_model("dephasing")
-    rho0 = plus_state()
+    rho0 = uniform_superposition(2)
     exact = 0.5 * np.exp(-1.0)
     errors = []
     for dt in (1e-2, 5e-3):

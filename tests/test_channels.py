@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox, plus_state, random_complex, random_density, random_model
+from conftest import philox, random_complex, random_density, random_model
 from lindbladsde.channels import (
     KrausChannel,
     apply_kraus,
@@ -20,7 +20,7 @@ from lindbladsde.operators import (
     frobenius,
     hermitian_part,
 )
-from lindbladsde.presets import PRESET_NAMES, preset_model
+from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
 from lindbladsde.unraveling import sde_step
 
 
@@ -137,7 +137,7 @@ class TestInfinitesimalChannel:
         # channel and the Euler update agree up to O(dt^(3/2)), so halving
         # dt shrinks the defect by about 2^(3/2)
         model = preset_model("dephasing")
-        rho = plus_state()
+        rho = uniform_superposition(2)
         errors = []
         for dt in (1e-3, 5e-4):
             defects = []

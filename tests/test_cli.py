@@ -225,26 +225,6 @@ class TestNumericalFailure:
 
 
 class TestRunConfig:
-    def test_observables_add_columns(self):
-        from lindbladsde.cli import RunConfig, _states_csv
-        from lindbladsde.operators import SIGMA_Z
-
-        config = RunConfig(t_final=1.0, dt=0.5, observables=(SIGMA_Z,))
-        states = np.array([np.eye(2, dtype=complex) / 2.0,
-                           np.diag([1.0, 0.0]).astype(complex)])
-        text = _states_csv(np.array([0.0, 0.5]), states, config.observables)
-        lines = text.splitlines()
-        assert lines[0].endswith("obs_0_re")
-        assert lines[1].endswith(",0.0")   # tr(sigma_z I/2) = 0
-        assert lines[2].endswith(",1.0")   # tr(sigma_z |0><0|) = 1
-
-    def test_rejects_non_hermitian_observable(self):
-        from lindbladsde.cli import RunConfig
-        from lindbladsde.operators import SIGMA_MINUS
-
-        with pytest.raises(ValueError, match="Hermitian"):
-            RunConfig(t_final=1.0, dt=0.5, observables=(SIGMA_MINUS,))
-
     def test_rejects_nonpositive_times(self):
         from lindbladsde.cli import RunConfig
 

@@ -4,19 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    model_with_covariance,
     philox,
     random_complex,
     random_density,
     random_model,
     random_unit_diag_covariance,
 )
-from lindbladsde.ito import (
-    ItoContext,
-    ItoPolynomial,
-    derive_stochastic_evolution,
-    ito_expectation,
-    ito_mul,
-)
+from lindbladsde.ito import ItoPolynomial, derive_stochastic_evolution, ito_mul
 from lindbladsde.lindblad import lindblad_rhs
 from lindbladsde.operators import SIGMA_Z, commutator, frobenius
 
@@ -46,35 +41,35 @@ def loop_product_terms(cov, p, q):
 class TestItoMul:
     def test_noise_squared_contracts_to_dt(self):
         # dW * dW with unit self-covariance leaves exactly an identity dt term
-        ctx = ItoContext(np.eye(1))
+        model = model_with_covariance(np.eye(1))
         eye = np.eye(2, dtype=complex)
         zero = np.zeros((2, 2), complex)
         p = ItoPolynomial(zero, zero, np.array([eye]))
-        out = ito_mul(ctx, p, p)
+        out = ito_mul(model, p, p)
         assert np.array_equal(out.dt_term, eye)
         assert np.array_equal(out.const_term, zero)
         assert np.array_equal(out.dw_terms[0], zero)
 
     def test_const_times_dt(self):
-        ctx = ItoContext(np.eye(1))
+        model = model_with_covariance(np.eye(1))
         rng = philox(5)
         x = random_complex(rng, 2)
         y = random_complex(rng, 2)
         zero = np.zeros((2, 2), complex)
         p = ItoPolynomial(x, zero, np.array([zero]))
         q = ItoPolynomial(zero, y, np.array([zero]))
-        out = ito_mul(ctx, p, q)
+        out = ito_mul(model, p, q)
         assert np.array_equal(out.dt_term, x @ y)
         assert np.array_equal(out.const_term, zero)
 
     def test_noise_times_dt_vanishes(self):
-        ctx = ItoContext(np.eye(2))
+        model = model_with_covariance(np.eye(2))
         rng = philox(6)
         zero = np.zeros((2, 2), complex)
         p = ItoPolynomial(zero, zero,
                           np.array([random_complex(rng, 2), zero.copy()]))
         q = ItoPolynomial(zero, random_complex(rng, 2), np.array([zero, zero]))
-        out = ito_mul(ctx, p, q)
+        out = ito_mul(model, p, q)
         assert np.array_equal(out.const_term, zero)
         assert np.array_equal(out.dt_term, zero)
         assert np.array_equal(out.dw_terms, np.array([zero, zero]))
@@ -84,10 +79,10 @@ class TestItoMul:
     def test_matches_loop_oracle(self, seed, noises):
         rng = philox(seed)
         cov = random_unit_diag_covariance(rng, noises)
-        ctx = ItoContext(cov)
+        model = model_with_covariance(cov)
         p = random_polynomial(rng, 3, noises)
         q = random_polynomial(rng, 3, noises)
-        out = ito_mul(ctx, p, q)
+        out = ito_mul(model, p, q)
         const, dt, dw = loop_product_terms(cov, p, q)
         assert frobenius(out.const_term - const) < 1e-12
         assert frobenius(out.dt_term - dt) < 1e-12
@@ -97,12 +92,12 @@ class TestItoMul:
     @settings(max_examples=25, deadline=None)
     def test_bilinear(self, seed):
         rng = philox(seed)
-        ctx = ItoContext(random_unit_diag_covariance(rng, 2))
+        model = model_with_covariance(random_unit_diag_covariance(rng, 2))
         p = random_polynomial(rng, 2, 2)
         q = random_polynomial(rng, 2, 2)
         r = random_polynomial(rng, 2, 2)
-        left = ito_mul(ctx, p + q, r)
-        right = ito_mul(ctx, p, r) + ito_mul(ctx, q, r)
+        left = ito_mul(model, p + q, r)
+        right = ito_mul(model, p, r) + ito_mul(model, q, r)
         assert frobenius(left.dt_term - right.dt_term) < 1e-12
         assert frobenius(left.dw_terms - right.dw_terms) < 1e-12
 
@@ -110,68 +105,54 @@ class TestItoMul:
     @settings(max_examples=25, deadline=None)
     def test_associative_up_to_truncation(self, seed):
         rng = philox(seed)
-        ctx = ItoContext(random_unit_diag_covariance(rng, 3))
+        model = model_with_covariance(random_unit_diag_covariance(rng, 3))
         p = random_polynomial(rng, 2, 3)
         q = random_polynomial(rng, 2, 3)
         r = random_polynomial(rng, 2, 3)
-        left = ito_mul(ctx, ito_mul(ctx, p, q), r)
-        right = ito_mul(ctx, p, ito_mul(ctx, q, r))
+        left = ito_mul(model, ito_mul(model, p, q), r)
+        right = ito_mul(model, p, ito_mul(model, q, r))
         assert frobenius(left.const_term - right.const_term) < 1e-12
         assert frobenius(left.dt_term - right.dt_term) < 1e-12
         assert frobenius(left.dw_terms - right.dw_terms) < 1e-12
 
     def test_noise_count_mismatch(self):
-        ctx = ItoContext(np.eye(2))
+        model = model_with_covariance(np.eye(2))
         p = ItoPolynomial.zero(2, 1)
         with pytest.raises(ValueError, match="noise count"):
-            ito_mul(ctx, p, p)
+            ito_mul(model, p, p)
 
     def test_dim_mismatch(self):
-        ctx = ItoContext(np.eye(1))
+        model = model_with_covariance(np.eye(1))
         with pytest.raises(ValueError, match="multiply"):
-            ito_mul(ctx, ItoPolynomial.zero(2, 1), ItoPolynomial.zero(3, 1))
+            ito_mul(model, ItoPolynomial.zero(2, 1), ItoPolynomial.zero(3, 1))
 
 
 class TestItoContext:
+    """ito_mul takes its dW dW table from a model, which refuses an unusable covariance."""
+
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            ItoContext(np.array([[2.0, 0.0], [0.0, 1.0]]))
+            model_with_covariance(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="PSD"):
-            ItoContext(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            model_with_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestExpectation:
-    def test_pure_noise_averages_to_zero(self):
-        rng = philox(7)
-        zero = np.zeros((2, 2), complex)
-        p = ItoPolynomial(zero, zero, np.array([random_complex(rng, 2)]))
-        const, dt = ito_expectation(p)
-        assert np.array_equal(const, zero)
-        assert np.array_equal(dt, zero)
-
-    def test_deterministic_part_unchanged(self):
-        rng = philox(8)
-        rho = random_density(rng, 2)
-        gen = random_complex(rng, 2)
-        p = ItoPolynomial(rho, gen, np.zeros((1, 2, 2), complex))
-        const, dt = ito_expectation(p)
-        assert np.array_equal(const, rho)
-        assert np.array_equal(dt, gen)
-
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_expectation_of_product(self, seed):
+        # The expectation over the noise keeps the const and dt slots; the
+        # dt slot is where the covariance enters the product.
         rng = philox(seed)
         cov = random_unit_diag_covariance(rng, 2)
-        ctx = ItoContext(cov)
         p = random_polynomial(rng, 2, 2)
         q = random_polynomial(rng, 2, 2)
-        const, dt = ito_expectation(ito_mul(ctx, p, q))
+        product = ito_mul(model_with_covariance(cov), p, q)
         oracle_const, oracle_dt, _ = loop_product_terms(cov, p, q)
-        assert frobenius(const - oracle_const) < 1e-12
-        assert frobenius(dt - oracle_dt) < 1e-12
+        assert frobenius(product.const_term - oracle_const) < 1e-12
+        assert frobenius(product.dt_term - oracle_dt) < 1e-12
 
 
 class TestDeriveStochasticEvolution:

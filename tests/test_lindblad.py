@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox, plus_state, random_density, random_hermitian, random_model
+from conftest import philox, random_density, random_hermitian, random_model
+from lindbladsde import lindblad
 from lindbladsde.ito import derive_stochastic_evolution
 from lindbladsde.lindblad import (
     LindbladModel,
@@ -20,7 +21,8 @@ from lindbladsde.operators import (
     adjoint,
     frobenius,
 )
-from lindbladsde.presets import PRESET_NAMES, preset_model
+from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
+from lindbladsde.unraveling import run_ensemble, run_trajectory
 
 
 def single_noise_model(v, h=None):
@@ -84,6 +86,33 @@ class TestModelConstruction:
         model = preset_model("dephasing")
         with pytest.raises(ValueError):
             model.hamiltonian[0, 0] = 1.0
+
+    def test_noise_basis_is_the_covariance_decomposition(self):
+        model = random_model(philox(31), 3, 4, rank=2)
+        basis = model.noise_basis
+        assert basis.active_count == 2
+        assert np.count_nonzero(basis.eigenvalues) == 2
+        rebuilt = (basis.orthogonal * basis.eigenvalues) @ basis.orthogonal.T
+        assert frobenius(rebuilt - model.covariance) <= 1e-10
+        report = validate_model(model)
+        assert report.psd_residual == max(0.0, -basis.smallest_raw_eigenvalue)
+        assert report.drift_residuals.shape == (2,)
+
+    def test_consumers_reuse_the_noise_basis(self, monkeypatch):
+        # After construction nothing decomposes the covariance again: the
+        # Euler runners, the report and the Ito expansion all read the
+        # model's basis or covariance.
+        model = random_model(philox(32), 2, 3, rank=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("covariance decomposed after construction")
+
+        monkeypatch.setattr(lindblad, "diagonalize_covariance", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        validate_model(model)
+        derive_stochastic_evolution(model, random_density(philox(33), 2))
+        run_trajectory(model, uniform_superposition(2), 0.01, 1e-3, seed=0)
+        run_ensemble(model, uniform_superposition(2), 0.01, 1e-3, 8, seed=0)
 
 
 class TestValidateModel:
@@ -200,49 +229,49 @@ class TestIntegrateOde:
         # closed-form unitary evolution: rho_01(t) = rho_01(0) exp(-2it),
         # so one full period is t = pi
         model = single_noise_model(np.zeros((2, 2), complex), h=SIGMA_Z)
-        rho0 = plus_state()
+        rho0 = uniform_superposition(2)
         traj = integrate_ode(model, rho0, np.pi, np.pi / 2000.0, record_every=2000)
         assert frobenius(traj.states[-1] - rho0) < 1e-8
 
     def test_dephasing_closed_form(self):
         model = preset_model("dephasing")
-        rho0 = plus_state()
+        rho0 = uniform_superposition(2)
         traj = integrate_ode(model, rho0, 1.0, 1e-3, record_every=1000)
         assert abs(traj.states[-1][0, 1] - 0.5 * np.exp(-1.0)) < 1e-8
 
     def test_amplitude_damping_closed_form(self):
         model = preset_model("amplitude-damping")
-        rho0 = plus_state()
+        rho0 = uniform_superposition(2)
         traj = integrate_ode(model, rho0, 1.0, 1e-3, record_every=500)
         assert abs(traj.states[-1][1, 1] - 0.5 * np.exp(-1.0)) < 1e-8
 
     def test_trace_drift_bounded(self):
         model = preset_model("two-noise-correlated")
-        traj = integrate_ode(model, plus_state(), 1.0, 1e-3)
+        traj = integrate_ode(model, uniform_superposition(2), 1.0, 1e-3)
         traces = np.einsum("taa->t", traj.states).real
         assert np.max(np.abs(traces - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_stay_positive(self, name):
         model = preset_model(name)
-        traj = integrate_ode(model, plus_state(), 1.0, 1e-3, record_every=10)
+        traj = integrate_ode(model, uniform_superposition(2), 1.0, 1e-3, record_every=10)
         assert np.linalg.eigvalsh(traj.states)[..., 0].min() >= -1e-6
 
     def test_states_recorded_on_uniform_grid(self):
         model = preset_model("dephasing")
-        traj = integrate_ode(model, plus_state(), 1.0, 1e-2, record_every=10)
+        traj = integrate_ode(model, uniform_superposition(2), 1.0, 1e-2, record_every=10)
         assert traj.times.shape == (11,)
         assert np.allclose(np.diff(traj.times), 0.1)
 
     def test_rejects_non_dividing_dt(self):
         model = preset_model("dephasing")
         with pytest.raises(ValueError, match="does not divide"):
-            integrate_ode(model, plus_state(), 1.0, 3e-4)
+            integrate_ode(model, uniform_superposition(2), 1.0, 3e-4)
 
     def test_rejects_non_dividing_record_cadence(self):
         model = preset_model("dephasing")
         with pytest.raises(ValueError, match="record_every"):
-            integrate_ode(model, plus_state(), 1.0, 1e-2, record_every=7)
+            integrate_ode(model, uniform_superposition(2), 1.0, 1e-2, record_every=7)
 
     def test_blowup_raises_numerical_error(self):
         # strong decay stepped at dt=1 sits far outside the stability
@@ -250,4 +279,4 @@ class TestIntegrateOde:
         model = single_noise_model(10.0 * SIGMA_MINUS)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="non-finite"):
-                integrate_ode(model, plus_state(), 300.0, 1.0)
+                integrate_ode(model, uniform_superposition(2), 300.0, 1.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox, random_complex, random_hermitian, random_unit_diag_covariance
+from conftest import philox, random_complex
 from lindbladsde.operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -14,11 +14,8 @@ from lindbladsde.operators import (
     check_density_matrix,
     check_hermitian,
     commutator,
-    eig_hermitian,
-    frobenius,
     matrix_from_literal,
     matrix_to_literal,
-    psd_factor,
     real_matrix_from_literal,
 )
 
@@ -92,73 +89,6 @@ class TestCommutator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             commutator(np.eye(2), np.eye(3))
-
-
-class TestEigHermitian:
-    def test_already_diagonal(self):
-        w, v = eig_hermitian(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert np.array_equal(w, [1.0, 2.0, 3.0])
-        assert np.array_equal(v, np.eye(3))
-
-    def test_sigma_x_spectrum(self):
-        # 2x2 characteristic polynomial: lambda^2 - 1 = 0
-        w, _ = eig_hermitian(SIGMA_X)
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-15)
-
-    def test_reconstruction_4x4(self):
-        m = random_hermitian(philox(3), 4)
-        w, v = eig_hermitian(m)
-        assert frobenius(m - (v * w) @ v.conj().T) <= 1e-12
-
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 16))
-    @settings(max_examples=30, deadline=None)
-    def test_reconstruction_relative(self, seed, dim):
-        m = random_hermitian(philox(seed), dim)
-        w, v = eig_hermitian(m)
-        scale = max(frobenius(m), 1e-300)
-        assert frobenius(m - (v * w) @ v.conj().T) / scale <= 1e-10
-
-    def test_ascending_order(self):
-        w, _ = eig_hermitian(random_hermitian(philox(4), 6))
-        assert np.all(np.diff(w) >= 0.0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdFactor:
-    def test_identity(self):
-        f = psd_factor(np.eye(2))
-        assert f.shape == (2, 2)
-        assert np.allclose(f, np.eye(2), atol=1e-14)
-
-    def test_all_ones_rank_one(self):
-        # fully correlated pair: one active direction only
-        f = psd_factor(np.ones((2, 2)))
-        assert f.shape == (2, 1)
-        assert frobenius(f @ f.T - np.ones((2, 2))) <= 1e-10
-
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_construct_then_factor(self, seed, n):
-        c = random_unit_diag_covariance(philox(seed), n)
-        f = psd_factor(c)
-        assert frobenius(f @ f.T - c) <= 1e-10
-
-    def test_range_matches_active_space(self):
-        rng = philox(9)
-        c = random_unit_diag_covariance(rng, 5, rank=2)
-        f = psd_factor(c)
-        assert f.shape[1] == 2
-        w, vecs = np.linalg.eigh(c)
-        for i in np.flatnonzero(w <= 1e-10):
-            assert np.linalg.norm(f.T @ vecs[:, i]) <= 1e-8
-
-    def test_rejects_negative_eigenvalue(self):
-        c = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            psd_factor(c)
 
 
 class TestStructureChecks:

@@ -5,17 +5,21 @@ from hypothesis import strategies as st
 
 from conftest import (
     philox,
-    plus_state,
     random_density,
     random_hermitian,
     random_model,
     random_unit_diag_covariance,
 )
-from lindbladsde.lindblad import LindbladModel, NumericalError, integrate_ode, lindblad_rhs
-from lindbladsde.operators import SIGMA_MINUS, SIGMA_Z, adjoint, commutator, frobenius
-from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model
-from lindbladsde.unraveling import (
+from lindbladsde.lindblad import (
+    LindbladModel,
+    NumericalError,
     diagonalize_covariance,
+    integrate_ode,
+    lindblad_rhs,
+)
+from lindbladsde.operators import SIGMA_MINUS, SIGMA_Z, adjoint, commutator, frobenius
+from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model, uniform_superposition
+from lindbladsde.unraveling import (
     run_ensemble,
     run_trajectory,
     sample_increments,
@@ -147,18 +151,17 @@ class TestSdeStep:
     def test_trace_preserved_per_step_for_constrained_models(self):
         rng = philox(3)
         model = random_model(rng, 3, 2, anti_hermitian=True)
-        basis = diagonalize_covariance(model.covariance)
         stream = trajectory_rng(11, 0)
         rho = random_density(rng, 3)
         for _ in range(100):
-            dw = sample_increments(basis, 1e-3, stream)
+            dw = sample_increments(model.noise_basis, 1e-3, stream)
             out = sde_step(model, rho, 1e-3, dw)
             assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-13 * 3
             rho = out
 
     def test_cumulative_trace_drift(self):
         model = preset_model("two-noise-correlated")
-        traj = run_trajectory(model, plus_state(), 1.0, 1e-3, seed=5)
+        traj = run_trajectory(model, uniform_superposition(2), 1.0, 1e-3, seed=5)
         assert abs(traj.trace_extremes[0] - 1.0) <= 1e-10
         assert abs(traj.trace_extremes[1] - 1.0) <= 1e-10
 
@@ -188,7 +191,7 @@ class TestSdeStep:
     def test_shape_validation(self):
         model = preset_model("dephasing")
         with pytest.raises(ValueError, match="increment shape"):
-            sde_step(model, plus_state(), 1e-3, np.zeros(2))
+            sde_step(model, uniform_superposition(2), 1e-3, np.zeros(2))
 
 
 class TestStochasticUnitaryStep:
@@ -199,7 +202,7 @@ class TestStochasticUnitaryStep:
         assert frobenius(out - rho) < 1e-14
 
     def test_purity_preserved(self):
-        rho = plus_state()
+        rho = uniform_superposition(2)
         out = stochastic_unitary_step(np.zeros((2, 2), complex), SIGMA_Z,
                                       rho, 1e-3, 0.05)
         purity = np.trace(out @ out).real
@@ -233,7 +236,7 @@ class TestStochasticUnitaryStep:
 
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            stochastic_unitary_step(SIGMA_MINUS, SIGMA_Z, plus_state(), 1e-3, 0.0)
+            stochastic_unitary_step(SIGMA_MINUS, SIGMA_Z, uniform_superposition(2), 1e-3, 0.0)
 
 
 class TestUnitaryEligibility:
@@ -254,12 +257,12 @@ class TestUnitaryEligibility:
 class TestRunTrajectory:
     @pytest.mark.parametrize("name", TRACE_PRESERVING_PRESETS)
     def test_trace_flat_for_constrained_presets(self, name):
-        traj = run_trajectory(preset_model(name), plus_state(), 1.0, 1e-3, seed=21)
+        traj = run_trajectory(preset_model(name), uniform_superposition(2), 1.0, 1e-3, seed=21)
         assert abs(traj.trace_extremes[0] - 1.0) <= 1e-10
         assert abs(traj.trace_extremes[1] - 1.0) <= 1e-10
 
     def test_trace_wanders_without_constraint(self):
-        traj = run_trajectory(preset_model("amplitude-damping"), plus_state(),
+        traj = run_trajectory(preset_model("amplitude-damping"), uniform_superposition(2),
                               1.0, 1e-3, seed=21)
         deviation = max(abs(traj.trace_extremes[0] - 1.0),
                         abs(traj.trace_extremes[1] - 1.0))
@@ -267,14 +270,14 @@ class TestRunTrajectory:
 
     def test_exact_unitary_keeps_purity_and_spectrum(self):
         model = preset_model("stochastic-unitary-larmor")
-        traj = run_trajectory(model, plus_state(), 1.0, 1e-3, seed=3,
+        traj = run_trajectory(model, uniform_superposition(2), 1.0, 1e-3, seed=3,
                               stepper="exact_unitary", record_every=100)
         assert np.abs(traj.purity_series - 1.0).max() <= 1e-10
         eigs = np.linalg.eigvalsh(traj.states)
         assert np.abs(eigs - np.array([0.0, 1.0])).max() <= 1e-10
 
     def test_recording_grid(self):
-        traj = run_trajectory(preset_model("dephasing"), plus_state(), 0.1, 1e-3,
+        traj = run_trajectory(preset_model("dephasing"), uniform_superposition(2), 0.1, 1e-3,
                               seed=0, record_every=25)
         assert traj.times.shape == (5,)
         assert traj.states.shape == (5, 2, 2)
@@ -298,7 +301,7 @@ class TestRunTrajectory:
 
         monkeypatch.setattr(unr, "_euler_update", failing)
         with pytest.raises(NumericalError, match=r"trajectory 0: .*t=0.004"):
-            run_trajectory(preset_model("dephasing"), plus_state(), 0.1, 1e-3,
+            run_trajectory(preset_model("dephasing"), uniform_superposition(2), 0.1, 1e-3,
                            seed=2)
 
     def test_sde_step_overflow_raises(self):
@@ -317,7 +320,7 @@ class TestRunTrajectory:
             covariance=np.eye(1),
         )
         with pytest.warns(RuntimeWarning, match="bias"):
-            run_trajectory(model, plus_state(), 0.5, 0.05, seed=0)
+            run_trajectory(model, uniform_superposition(2), 0.5, 0.05, seed=0)
 
     def test_rejects_oversized_step(self):
         model = LindbladModel(
@@ -327,15 +330,15 @@ class TestRunTrajectory:
             covariance=np.eye(1),
         )
         with pytest.raises(NumericalError, match="refusing"):
-            run_trajectory(model, plus_state(), 5.0, 2e-3, seed=0)
+            run_trajectory(model, uniform_superposition(2), 5.0, 2e-3, seed=0)
 
 
 class TestRunEnsemble:
     def test_bit_reproducible(self):
         model = preset_model("dephasing")
-        first, d1 = run_ensemble(model, plus_state(), 0.1, 1e-3, 300, seed=42,
+        first, d1 = run_ensemble(model, uniform_superposition(2), 0.1, 1e-3, 300, seed=42,
                                  record_every=10)
-        second, d2 = run_ensemble(model, plus_state(), 0.1, 1e-3, 300, seed=42,
+        second, d2 = run_ensemble(model, uniform_superposition(2), 0.1, 1e-3, 300, seed=42,
                                   record_every=10)
         assert np.array_equal(first.mean_state, second.mean_state)
         assert np.array_equal(first.stderr, second.stderr)
@@ -344,15 +347,15 @@ class TestRunEnsemble:
 
     def test_seed_changes_output(self):
         model = preset_model("dephasing")
-        a, _ = run_ensemble(model, plus_state(), 0.1, 1e-3, 300, seed=42)
-        b, _ = run_ensemble(model, plus_state(), 0.1, 1e-3, 300, seed=43)
+        a, _ = run_ensemble(model, uniform_superposition(2), 0.1, 1e-3, 300, seed=42)
+        b, _ = run_ensemble(model, uniform_superposition(2), 0.1, 1e-3, 300, seed=43)
         assert not np.array_equal(a.mean_state, b.mean_state)
 
     def test_worker_count_does_not_change_result(self):
         # chunk reduction order is fixed, so thread count is invisible
         model = preset_model("two-noise-correlated")
-        serial, _ = run_ensemble(model, plus_state(), 0.05, 1e-3, 5000, seed=9)
-        threaded, _ = run_ensemble(model, plus_state(), 0.05, 1e-3, 5000, seed=9,
+        serial, _ = run_ensemble(model, uniform_superposition(2), 0.05, 1e-3, 5000, seed=9)
+        threaded, _ = run_ensemble(model, uniform_superposition(2), 0.05, 1e-3, 5000, seed=9,
                                    workers=4)
         assert np.array_equal(serial.mean_state, threaded.mean_state)
         assert np.array_equal(serial.stderr, threaded.stderr)
@@ -364,9 +367,9 @@ class TestRunEnsemble:
             weights=np.array([1.0]),
             covariance=np.eye(1),
         )
-        stats, _ = run_ensemble(model, plus_state(), 0.5, 1e-3, 1, seed=0,
+        stats, _ = run_ensemble(model, uniform_superposition(2), 0.5, 1e-3, 1, seed=0,
                                 record_every=100)
-        rho = plus_state()
+        rho = uniform_superposition(2)
         expected = [rho]
         for k in range(500):
             rho = rho + lindblad_rhs(model, rho) * 1e-3
@@ -375,13 +378,13 @@ class TestRunEnsemble:
                 expected.append(rho)
         assert frobenius(stats.mean_state - np.array(expected)) < 1e-12
         # and it approximates the deterministic integrator at first order
-        ode = integrate_ode(model, plus_state(), 0.5, 1e-3, record_every=100)
+        ode = integrate_ode(model, uniform_superposition(2), 0.5, 1e-3, record_every=100)
         assert frobenius(stats.mean_state - ode.states) < 5e-3
         assert np.array_equal(stats.times, ode.times)
 
     def test_mean_matches_master_equation(self):
         model = preset_model("dephasing")
-        stats, _ = run_ensemble(model, plus_state(), 1.0, 1e-3, 2000, seed=77,
+        stats, _ = run_ensemble(model, uniform_superposition(2), 1.0, 1e-3, 2000, seed=77,
                                 record_every=100)
         expected = 0.5 * np.exp(-stats.times)
         errors = np.abs(stats.mean_state[:, 0, 1] - expected)
@@ -392,9 +395,9 @@ class TestRunEnsemble:
         # the deterministic one-step recursion; the Monte Carlo mean must
         # track it within sampling error at every recorded time
         model = preset_model("dephasing")
-        stats, _ = run_ensemble(model, plus_state(), 0.2, 1e-3, 100_000,
+        stats, _ = run_ensemble(model, uniform_superposition(2), 0.2, 1e-3, 100_000,
                                 seed=2024, record_every=20)
-        rho = plus_state()
+        rho = uniform_superposition(2)
         recursion = [rho]
         for k in range(200):
             rho = rho + lindblad_rhs(model, rho) * 1e-3
@@ -408,7 +411,7 @@ class TestRunEnsemble:
 
     def test_stats_invariants(self):
         model = preset_model("amplitude-damping")
-        stats, diag = run_ensemble(model, plus_state(), 0.5, 1e-3, 3000, seed=5,
+        stats, diag = run_ensemble(model, uniform_superposition(2), 0.5, 1e-3, 3000, seed=5,
                                    record_every=50)
         # mean state Hermitian within Monte Carlo rounding
         assert frobenius(stats.mean_state - adjoint(stats.mean_state)) < 1e-12
@@ -421,15 +424,15 @@ class TestRunEnsemble:
     def test_ensemble_trajectory_matches_run_trajectory_stream(self):
         # trajectory i consumes the (seed, i) stream in both entry points
         model = preset_model("dephasing")
-        stats, _ = run_ensemble(model, plus_state(), 0.05, 1e-3, 1, seed=31,
+        stats, _ = run_ensemble(model, uniform_superposition(2), 0.05, 1e-3, 1, seed=31,
                                 record_every=50)
-        traj = run_trajectory(model, plus_state(), 0.05, 1e-3, seed=31,
+        traj = run_trajectory(model, uniform_superposition(2), 0.05, 1e-3, seed=31,
                               traj_index=0, record_every=50)
         assert frobenius(stats.mean_state - traj.states) < 1e-12
 
     def test_exact_unitary_ensemble(self):
         model = preset_model("stochastic-unitary-larmor")
-        stats, diag = run_ensemble(model, plus_state(), 0.1, 1e-3, 200, seed=1,
+        stats, diag = run_ensemble(model, uniform_superposition(2), 0.1, 1e-3, 200, seed=1,
                                    stepper="exact_unitary", record_every=10)
         assert abs(diag.trace_min - 1.0) <= 1e-12
         assert abs(diag.trace_max - 1.0) <= 1e-12
@@ -437,17 +440,17 @@ class TestRunEnsemble:
 
     def test_rejects_unknown_stepper(self):
         with pytest.raises(ValueError, match="stepper"):
-            run_ensemble(preset_model("dephasing"), plus_state(), 0.1, 1e-3, 10,
+            run_ensemble(preset_model("dephasing"), uniform_superposition(2), 0.1, 1e-3, 10,
                          seed=0, stepper="milstein")
 
     def test_rejects_exact_unitary_for_damping(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            run_ensemble(preset_model("amplitude-damping"), plus_state(), 0.1,
+            run_ensemble(preset_model("amplitude-damping"), uniform_superposition(2), 0.1,
                          1e-3, 10, seed=0, stepper="exact_unitary")
 
     def test_rejects_bad_record_cadence(self):
         with pytest.raises(ValueError, match="record_every"):
-            run_ensemble(preset_model("dephasing"), plus_state(), 0.1, 1e-3, 10,
+            run_ensemble(preset_model("dephasing"), uniform_superposition(2), 0.1, 1e-3, 10,
                          seed=0, record_every=7)
 
 
