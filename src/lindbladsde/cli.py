@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +35,15 @@ from .ito import derive_stochastic_evolution
 from .lindblad import (
     LindbladModel,
     NumericalError,
+    ValidationReport,
     integrate_ode,
     lindblad_rhs,
-    step_count,
+    time_grid,
     validate_model,
 )
 from .operators import frobenius, matrix_from_literal, real_matrix_from_literal
 from .presets import PRESET_NAMES, preset_model, uniform_superposition
-from .unraveling import STEPPERS, _min_eigenvalues, _purities, run_ensemble
+from .unraveling import _min_eigenvalues, _purities, run_ensemble
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,32 +62,13 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run parameters shared by the ode and sde subcommands."""
-
-    t_final: float
-    dt: float
-    trajectories: int = 1000
-    seed: int = 0
-    record_every: int = 1
-    stepper: str = "euler"
-
-    def __post_init__(self):
-        if self.t_final <= 0 or self.dt <= 0:
-            raise ValueError("t_final and dt must be positive")
-        if self.trajectories < 1 or self.record_every < 1 or self.seed < 0:
-            raise ValueError("trajectories, record_every must be positive; seed nonnegative")
-        if self.stepper not in STEPPERS:
-            raise ValueError(f"stepper must be one of {STEPPERS}")
-
-
-def parse_model(path_or_preset: str) -> LindbladModel:
+def parse_model(path_or_preset: str) -> tuple[LindbladModel, ValidationReport]:
     """Load and validate a model from a JSON file or a preset name.
 
-    An existing file wins over a preset of the same name. The validation
-    report goes to stderr; hard invariant violations raise ModelFileError,
-    the soft trajectory-trace check is reported only.
+    An existing file wins over a preset of the same name. Returns the model
+    and its validation report, which also goes to stderr; hard invariant
+    violations raise ModelFileError, the soft trajectory-trace check is
+    reported only.
     """
     path = Path(path_or_preset)
     if path.is_file():
@@ -100,8 +81,9 @@ def parse_model(path_or_preset: str) -> LindbladModel:
             f"(presets: {', '.join(PRESET_NAMES)})"
         )
     print(f"model report for {path_or_preset!r}:", file=sys.stderr)
-    print(validate_model(model).summary(), file=sys.stderr)
-    return model
+    report = validate_model(model)
+    print(report.summary(), file=sys.stderr)
+    return model, report
 
 
 def _model_from_file(path: Path) -> LindbladModel:
@@ -208,8 +190,7 @@ def _write_output(path: str, content: str) -> None:
 
 
 def cmd_check(args) -> int:
-    model = parse_model(args.model)
-    report = validate_model(model)
+    model, report = parse_model(args.model)
     verdict = "true" if report.trajectory_trace_preserving else "false"
     print(f"model ok: dim={model.dim} noises={model.noise_count} "
           f"trajectory_trace_preserving={verdict}")
@@ -217,25 +198,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    model = parse_model(args.model)
-    config = _config_from(args)
-    _check_grid(config, args)
+    _check_grid(args)
+    model, _ = parse_model(args.model)
     trajectory = integrate_ode(model, uniform_superposition(model.dim),
-                               config.t_final, config.dt, config.record_every)
+                               args.t_final, args.dt, args.record_every)
     content = _states_csv(trajectory.times, trajectory.states)
     _write_output(args.out, content)
     return EXIT_OK
 
 
 def cmd_sde(args) -> int:
-    model = parse_model(args.model)
-    config = _config_from(args)
-    _check_grid(config, args)
+    _check_grid(args)
+    model, _ = parse_model(args.model)
     # results are worker-count independent, so threading is safe here
     stats, diagnostics = run_ensemble(
-        model, uniform_superposition(model.dim), config.t_final, config.dt,
-        config.trajectories, config.seed, config.record_every, config.stepper,
-        workers=min(4, os.cpu_count() or 1),
+        model, uniform_superposition(model.dim), args.t_final, args.dt,
+        args.trajectories, args.seed, args.record_every,
+        args.stepper.replace("-", "_"), workers=min(4, os.cpu_count() or 1),
     )
     content = _states_csv(stats.times, stats.mean_state,
                           extra_header=("stderr",), extra_cells=stats.stderr)
@@ -247,7 +226,7 @@ def cmd_sde(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    model = parse_model(args.model)
+    model, _ = parse_model(args.model)
     rng = np.random.Generator(np.random.Philox(key=np.array([0xD5EED, 0], dtype=np.uint64)))
     g = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal(
         (model.dim, model.dim))
@@ -278,7 +257,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_choi(args) -> int:
-    model = parse_model(args.model)
+    model, _ = parse_model(args.model)
     if args.dt <= 0:
         raise _UsageError("--dt must be positive")
     root = np.sqrt(args.dt)
@@ -293,30 +272,21 @@ def cmd_choi(args) -> int:
     return EXIT_OK
 
 
-def _config_from(args) -> RunConfig:
+def _check_grid(args) -> None:
     try:
-        return RunConfig(
-            t_final=args.t_final,
-            dt=args.dt,
-            trajectories=getattr(args, "trajectories", 1000),
-            seed=getattr(args, "seed", 0),
-            record_every=args.record_every,
-            stepper=getattr(args, "stepper", "euler").replace("-", "_"),
-        )
+        time_grid(args.t_final, args.dt, args.record_every, args.command)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
-def _check_grid(config: RunConfig, args) -> None:
-    try:
-        n = step_count(config.t_final, config.dt, args.command)
-        if n % config.record_every != 0:
-            raise ValueError(
-                f"--record-every {config.record_every} must divide the "
-                f"step count {n}"
-            )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+def _at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -342,7 +312,7 @@ def _build_parser() -> _Parser:
     add_model(p_ode)
     p_ode.add_argument("--t-final", type=float, required=True)
     p_ode.add_argument("--dt", type=float, required=True)
-    p_ode.add_argument("--record-every", type=int, default=1)
+    p_ode.add_argument("--record-every", type=_at_least(1), default=1)
     p_ode.add_argument("--out", required=True)
     p_ode.set_defaults(func=cmd_ode)
 
@@ -350,9 +320,9 @@ def _build_parser() -> _Parser:
     add_model(p_sde)
     p_sde.add_argument("--t-final", type=float, required=True)
     p_sde.add_argument("--dt", type=float, required=True)
-    p_sde.add_argument("--trajectories", type=int, default=1000)
-    p_sde.add_argument("--seed", type=int, default=0)
-    p_sde.add_argument("--record-every", type=int, default=1)
+    p_sde.add_argument("--trajectories", type=_at_least(1), default=1000)
+    p_sde.add_argument("--seed", type=_at_least(0), default=0)
+    p_sde.add_argument("--record-every", type=_at_least(1), default=1)
     p_sde.add_argument("--stepper", choices=["euler", "exact-unitary"],
                        default="euler")
     p_sde.add_argument("--out", required=True)

@@ -258,8 +258,13 @@ class OdeTrajectory:
     states: np.ndarray  # (T, d, d)
 
 
-def step_count(t_final: float, dt: float, name: str = "integration") -> int:
-    """Number of steps, requiring dt to divide t_final within rounding."""
+def time_grid(t_final: float, dt: float, record_every: int, name: str):
+    """Step count, recorded step indices and recorded times of a run.
+
+    t_final has to be a whole number of steps dt within rounding, and
+    record_every a divisor of that number. The indices are 0, record_every,
+    ..., n_steps and the times are those indices times dt.
+    """
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError(f"{name}: t_final and dt must be positive")
     n = round(t_final / dt)
@@ -267,7 +272,12 @@ def step_count(t_final: float, dt: float, name: str = "integration") -> int:
         raise ValueError(
             f"{name}: dt={dt!r} does not divide t_final={t_final!r}"
         )
-    return n
+    if record_every < 1 or n % record_every != 0:
+        raise ValueError(
+            f"{name}: record_every={record_every} must divide the step count {n}"
+        )
+    indices = np.arange(0, n + 1, record_every)
+    return n, indices, indices * dt
 
 
 def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
@@ -281,15 +291,9 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
     entries, which signals that dt is too large for the model norms.
     """
     rho = np.array(check_density_matrix(rho0), dtype=complex)
-    n_steps = step_count(t_final, dt, "integrate_ode")
-    if record_every < 1 or n_steps % record_every != 0:
-        raise ValueError(
-            f"integrate_ode: record_every={record_every} must divide the "
-            f"step count {n_steps}"
-        )
+    n_steps, _, times = time_grid(t_final, dt, record_every, "integrate_ode")
 
     states = [rho.copy()]
-    times = [0.0]
     for k in range(n_steps):
         k1 = lindblad_rhs(model, rho)
         k2 = lindblad_rhs(model, rho + (0.5 * dt) * k1)
@@ -304,8 +308,7 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
             )
         if (k + 1) % record_every == 0:
             states.append(rho.copy())
-            times.append((k + 1) * dt)
-    return OdeTrajectory(times=np.array(times), states=np.array(states))
+    return OdeTrajectory(times=times, states=np.array(states))
 
 
 def check_step_size(model: LindbladModel, dt: float) -> None:
@@ -327,5 +330,5 @@ def check_step_size(model: LindbladModel, dt: float) -> None:
             f"step size dt={dt!r} gives dt*(|H| + sum|v|^2) = {stiffness:.3g} > 0.1; "
             "discretization bias may dominate",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of run_trajectory / run_ensemble
         )

@@ -33,7 +33,7 @@ from .lindblad import (
     NumericalError,
     check_step_size,
     drift_operator,
-    step_count,
+    time_grid,
 )
 from .operators import (
     HERMITICITY_TOL,
@@ -51,22 +51,19 @@ _CHUNK_TRAJECTORIES = 4096
 
 
 def sample_increments(basis: NoiseBasis, dt: float, rng: np.random.Generator,
-                      count: int | None = None) -> np.ndarray:
-    """Draw correlated increment vectors for steps of length dt.
+                      count: int) -> np.ndarray:
+    """Draw count correlated increment vectors for steps of length dt.
 
     Each active eigendirection r gets an independent normal of variance
     eigenvalue_r * dt; inactive directions get exactly zero, which keeps
     the increments inside the range of the covariance by construction. The
     generator is advanced by one draw per direction, active or not, so the
-    stream layout does not depend on the covariance rank. With ``count``
-    the result is a (count, N) batch consuming the stream in row order,
-    exactly as count successive single draws would.
+    stream layout does not depend on the covariance rank. The result is a
+    (count, N) batch consuming the stream in row order.
     """
     if dt <= 0.0:
         raise ValueError("sample_increments: dt must be positive")
     scale = np.sqrt(basis.eigenvalues * dt)
-    if count is None:
-        return basis.orthogonal @ (scale * rng.standard_normal(basis.noise_count))
     xi = rng.standard_normal((count, basis.noise_count))
     return (xi * scale) @ basis.orthogonal.T
 
@@ -194,15 +191,6 @@ class EnsembleDiagnostics:
     min_eigenvalue: float
 
 
-def _record_grid(n_steps: int, record_every: int, dt: float):
-    if record_every < 1 or n_steps % record_every != 0:
-        raise ValueError(
-            f"record_every={record_every} must divide the step count {n_steps}"
-        )
-    indices = np.arange(0, n_steps + 1, record_every)
-    return indices, indices * dt
-
-
 def _min_eigenvalues(states: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of stacked Hermitian matrices, closed form for d=2."""
     d = states.shape[-1]
@@ -218,51 +206,6 @@ def _purities(states: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...ba->...", states, states).real
 
 
-def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
-                   dt: float, seed: int, traj_index: int = 0,
-                   record_every: int = 1, stepper: str = "euler") -> Trajectory:
-    """Integrate a single stochastic trajectory.
-
-    The noise stream is the one trajectory ``traj_index`` would receive
-    inside an ensemble run with the same seed.
-    """
-    rho = np.array(check_density_matrix(rho0), dtype=complex)
-    if stepper not in STEPPERS:
-        raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
-    check_step_size(model, dt)
-    n_steps = step_count(t_final, dt, "run_trajectory")
-    rec_indices, times = _record_grid(n_steps, record_every, dt)
-    k_op = unitary_noise_operator(model) if stepper == "exact_unitary" else None
-    rng = trajectory_rng(seed, traj_index)
-
-    states = [rho.copy()]
-    trace = float(np.trace(rho).real)
-    trace_min = trace_max = trace
-    for k in range(n_steps):
-        dw = sample_increments(model.noise_basis, dt, rng)
-        if stepper == "euler":
-            rho = _euler_update(model, rho, dt, dw)
-        else:
-            rho = stochastic_unitary_step(model.hamiltonian, k_op, rho, dt, dw[0])
-        if not np.all(np.isfinite(rho)):
-            raise NumericalError(
-                f"trajectory {traj_index}: non-finite state at t={(k + 1) * dt:g}"
-            )
-        trace = float(np.trace(rho).real)
-        trace_min = min(trace_min, trace)
-        trace_max = max(trace_max, trace)
-        if (k + 1) % record_every == 0:
-            states.append(rho.copy())
-    states = np.array(states)
-    return Trajectory(
-        times=times,
-        states=states,
-        trace_extremes=(trace_min, trace_max),
-        min_eigenvalue_seen=float(_min_eigenvalues(states).min()),
-        purity_series=_purities(states),
-    )
-
-
 def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
                            basis: NoiseBasis, dt: float) -> np.ndarray:
     """Increments for trajectories [start, start+count), shape (count, n_steps, N)."""
@@ -273,24 +216,27 @@ def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
     return out
 
 
+def _recorded_sums(rho: np.ndarray):
+    """Sum, summed squared Frobenius norm and smallest eigenvalue of a chunk."""
+    return (rho.sum(axis=0),
+            float(np.einsum("kab,kab->", rho, rho.conj()).real),
+            float(_min_eigenvalues(rho).min()))
+
+
 def _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed, start,
                count, stepper):
+    """Evolve trajectories [start, start+count) together: the one time loop.
+
+    Returns the recorded state sums (T, d, d), the summed squared norms
+    (T,), the trace extremes over every step and the smallest recorded
+    eigenvalue.
+    """
     d = model.dim
     rho = np.broadcast_to(rho0, (count, d, d)).astype(complex)
     dw = _trajectory_increments(seed, start, count, n_steps,
                                 model.noise_basis, dt)
 
-    n_rec = len(rec_indices)
-    state_sum = np.zeros((n_rec, d, d), complex)
-    sq_sum = np.zeros(n_rec)
-    min_eig = np.inf
-    rec_pos = 0
-    if rec_indices[0] == 0:
-        state_sum[0] = rho.sum(axis=0)
-        sq_sum[0] = float(np.einsum("kab,kab->", rho, rho.conj()).real)
-        min_eig = min(min_eig, float(_min_eigenvalues(rho).min()))
-        rec_pos = 1
-
+    recorded = [_recorded_sums(rho)]
     traces = np.einsum("kaa->k", rho).real
     trace_min = float(traces.min())
     trace_max = float(traces.max())
@@ -308,12 +254,48 @@ def _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed, start,
         traces = np.einsum("kaa->k", rho).real
         trace_min = min(trace_min, float(traces.min()))
         trace_max = max(trace_max, float(traces.max()))
-        if rec_pos < n_rec and k + 1 == rec_indices[rec_pos]:
-            state_sum[rec_pos] = rho.sum(axis=0)
-            sq_sum[rec_pos] = float(np.einsum("kab,kab->", rho, rho.conj()).real)
-            min_eig = min(min_eig, float(_min_eigenvalues(rho).min()))
-            rec_pos += 1
-    return state_sum, sq_sum, trace_min, trace_max, min_eig
+        # the last record index is n_steps, so this never reads past the end
+        if k + 1 == rec_indices[len(recorded)]:
+            recorded.append(_recorded_sums(rho))
+    state_sum, sq_sum, min_eigs = zip(*recorded)
+    return np.array(state_sum), np.array(sq_sum), trace_min, trace_max, min(min_eigs)
+
+
+def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
+    """Checks and time grid shared by both runners.
+
+    Returns (rho0, n_steps, record indices, record times, K or None).
+    """
+    rho0 = np.array(check_density_matrix(rho0), dtype=complex)
+    if stepper not in STEPPERS:
+        raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
+    check_step_size(model, dt)
+    n_steps, rec_indices, times = time_grid(t_final, dt, record_every, name)
+    k_op = unitary_noise_operator(model) if stepper == "exact_unitary" else None
+    return rho0, n_steps, rec_indices, times, k_op
+
+
+def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
+                   dt: float, seed: int, traj_index: int = 0,
+                   record_every: int = 1, stepper: str = "euler") -> Trajectory:
+    """Integrate a single stochastic trajectory.
+
+    This is the one-trajectory chunk of :func:`run_ensemble`, so the result
+    is bit-identical to trajectory ``traj_index`` of an ensemble run with
+    the same seed.
+    """
+    rho0, n_steps, rec_indices, times, k_op = _prepare(
+        model, rho0, t_final, dt, record_every, stepper, "run_trajectory")
+    # a sum over one trajectory is that trajectory
+    states, _, trace_min, trace_max, min_eig = _run_chunk(
+        model, rho0, dt, n_steps, rec_indices, k_op, seed, traj_index, 1, stepper)
+    return Trajectory(
+        times=times,
+        states=states,
+        trace_extremes=(trace_min, trace_max),
+        min_eigenvalue_seen=min_eig,
+        purity_series=_purities(states),
+    )
 
 
 def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
@@ -331,24 +313,19 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     Args:
         model: validated open-system model, shared read-only.
         rho0: initial density matrix.
-        t_final: final time; dt must divide it.
+        t_final: final time, a whole number of steps dt.
         dt: step size, guarded against the unstable regime.
         n_traj: number of independent trajectories.
         seed: base seed; trajectory i uses the (seed, i) stream.
-        record_every: sample cadence in steps; must divide the step count.
+        record_every: sample cadence in steps, a divisor of the step count.
         stepper: "euler" for the general linear scheme, "exact_unitary" for
             single-noise models with an anti-Hermitian noise operator.
         workers: thread count for chunk evaluation.
     """
-    rho0 = np.array(check_density_matrix(rho0), dtype=complex)
-    if stepper not in STEPPERS:
-        raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    check_step_size(model, dt)
-    n_steps = step_count(t_final, dt, "run_ensemble")
-    rec_indices, times = _record_grid(n_steps, record_every, dt)
-    k_op = unitary_noise_operator(model) if stepper == "exact_unitary" else None
+    rho0, n_steps, rec_indices, times, k_op = _prepare(
+        model, rho0, t_final, dt, record_every, stepper, "run_ensemble")
 
     starts = list(range(0, n_traj, _CHUNK_TRAJECTORIES))
     jobs = [(s, min(_CHUNK_TRAJECTORIES, n_traj - s)) for s in starts]

@@ -29,13 +29,12 @@ def write_model(tmp_path, name="model.json", **overrides):
 class TestParseModel:
     def test_preset_names_resolve(self, capsys):
         for name in PRESET_NAMES:
-            model = parse_model(name)
+            model, report = parse_model(name)
             assert model.dim == 2
-        report = capsys.readouterr().err
-        assert "trajectory_trace_preserving" in report
+            assert report.summary() in capsys.readouterr().err
 
     def test_file_loads_with_defaults(self, tmp_path, capsys):
-        model = parse_model(write_model(tmp_path))
+        model, _ = parse_model(write_model(tmp_path))
         assert model.noise_count == 1
         assert np.array_equal(model.weights, [1.0])
         assert np.array_equal(model.covariance, np.eye(1))
@@ -99,6 +98,20 @@ class TestCheckCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "--model", "missing.json"]) == EXIT_MODEL
 
+    def test_validates_once(self, monkeypatch, capsys):
+        import lindbladsde.cli as cli
+
+        calls = []
+        original = cli.validate_model
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(cli, "validate_model", counting)
+        assert main(["check", "--model", "dephasing"]) == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -121,6 +134,23 @@ class TestUsageErrors:
         code = main(["ode", "--model", "dephasing", "--t-final", "1.0",
                      "--dt", "1e-2", "--record-every", "7", "--out", str(out)])
         assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sde", "--trajectories", "0"),
+        ("sde", "--seed", "-1"),
+        ("sde", "--record-every", "0"),
+        ("sde", "--t-final", "0"),
+        ("ode", "--record-every", "0"),
+        ("ode", "--dt", "-1"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "never.csv"
+        # argparse keeps the last occurrence, so flag overrides the valid grid
+        argv = [command, "--model", "dephasing", "--t-final", "0.02", "--dt", "1e-3",
+                "--out", str(out), flag, value]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -222,14 +252,6 @@ class TestNumericalFailure:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
-
-
-class TestRunConfig:
-    def test_rejects_nonpositive_times(self):
-        from lindbladsde.cli import RunConfig
-
-        with pytest.raises(ValueError, match="positive"):
-            RunConfig(t_final=0.0, dt=0.5)
 
 
 class TestChoiCommand:

@@ -66,22 +66,13 @@ class TestSampleIncrements:
         cov = draws.T @ draws / len(draws)
         assert np.abs(cov - np.eye(2)).max() < 0.01
 
-    def test_batched_draws_consume_same_stream(self):
-        basis = diagonalize_covariance(random_unit_diag_covariance(philox(17), 3))
-        batch = sample_increments(basis, 1e-3, trajectory_rng(4, 2), count=5)
-        rng = trajectory_rng(4, 2)
-        singles = np.array([sample_increments(basis, 1e-3, rng) for _ in range(5)])
-        assert np.abs(batch - singles).max() < 1e-15
-
     def test_null_directions_receive_no_noise(self):
         # fully correlated pair: both increments equal, the antisymmetric
         # combination stays at rounding level (the inactive draw itself is
         # exactly zero by construction)
         basis = diagonalize_covariance(np.ones((2, 2)))
-        rng = trajectory_rng(7, 0)
         null_vec = basis.orthogonal[:, 0]
-        for _ in range(100):
-            dw = sample_increments(basis, 1e-3, rng)
+        for dw in sample_increments(basis, 1e-3, trajectory_rng(7, 0), count=100):
             assert dw[0] == dw[1] or abs(dw[0] - dw[1]) < 1e-15
             assert abs(null_vec @ dw) < 1e-13
 
@@ -89,10 +80,8 @@ class TestSampleIncrements:
         c = random_unit_diag_covariance(philox(5), 5, rank=2)
         basis = diagonalize_covariance(c)
         assert basis.active_count == 2
-        rng = trajectory_rng(8, 0)
         null_basis = basis.orthogonal[:, basis.eigenvalues == 0.0]
-        for _ in range(50):
-            dw = sample_increments(basis, 1e-2, rng)
+        for dw in sample_increments(basis, 1e-2, trajectory_rng(8, 0), count=50):
             assert np.abs(null_basis.T @ dw).max() < 1e-13
 
     def test_variance_scales_with_dt(self):
@@ -106,7 +95,7 @@ class TestSampleIncrements:
     def test_rejects_nonpositive_dt(self):
         basis = diagonalize_covariance(np.eye(1))
         with pytest.raises(ValueError, match="positive"):
-            sample_increments(basis, 0.0, trajectory_rng(0, 0))
+            sample_increments(basis, 0.0, trajectory_rng(0, 0), count=1)
 
 
 class TestSdeStep:
@@ -151,10 +140,8 @@ class TestSdeStep:
     def test_trace_preserved_per_step_for_constrained_models(self):
         rng = philox(3)
         model = random_model(rng, 3, 2, anti_hermitian=True)
-        stream = trajectory_rng(11, 0)
         rho = random_density(rng, 3)
-        for _ in range(100):
-            dw = sample_increments(model.noise_basis, 1e-3, stream)
+        for dw in sample_increments(model.noise_basis, 1e-3, trajectory_rng(11, 0), count=100):
             out = sde_step(model, rho, 1e-3, dw)
             assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-13 * 3
             rho = out
@@ -421,14 +408,23 @@ class TestRunEnsemble:
         # single-trajectory diagnostics show the drift
         assert diag.trace_max > 1.0 + 1e-2 or diag.trace_min < 1.0 - 1e-2
 
-    def test_ensemble_trajectory_matches_run_trajectory_stream(self):
-        # trajectory i consumes the (seed, i) stream in both entry points
-        model = preset_model("dephasing")
-        stats, _ = run_ensemble(model, uniform_superposition(2), 0.05, 1e-3, 1, seed=31,
-                                record_every=50)
+    @pytest.mark.parametrize("name, stepper", [
+        ("dephasing", "euler"),
+        ("two-noise-correlated", "euler"),
+        ("stochastic-unitary-larmor", "exact_unitary"),
+    ], ids=["dephasing", "two-noise-correlated", "larmor-exact-unitary"])
+    def test_trajectory_matches_ensemble_bits(self, name, stepper):
+        # trajectory i consumes the (seed, i) stream in both entry points,
+        # through the same chunk loop, so the bits agree
+        model = preset_model(name)
+        stats, diag = run_ensemble(model, uniform_superposition(2), 0.05, 1e-3, 1,
+                                   seed=31, record_every=50, stepper=stepper)
         traj = run_trajectory(model, uniform_superposition(2), 0.05, 1e-3, seed=31,
-                              traj_index=0, record_every=50)
-        assert frobenius(stats.mean_state - traj.states) < 1e-12
+                              traj_index=0, record_every=50, stepper=stepper)
+        assert np.array_equal(stats.mean_state, traj.states)
+        assert np.array_equal(stats.times, traj.times)
+        assert traj.trace_extremes == (diag.trace_min, diag.trace_max)
+        assert traj.min_eigenvalue_seen == diag.min_eigenvalue
 
     def test_exact_unitary_ensemble(self):
         model = preset_model("stochastic-unitary-larmor")
