@@ -11,7 +11,7 @@ Usage:
 
 import argparse
 
-from lindbladsde.lindblad import integrate_ode
+from lindbladsde.lindblad import integrate_ode, time_grid
 from lindbladsde.operators import frobenius
 from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
 from lindbladsde.unraveling import run_ensemble
@@ -29,7 +29,7 @@ def main():
 
     model = preset_model(args.preset)
     rho0 = uniform_superposition(model.dim)
-    steps = round(args.t_final / args.dt)
+    steps, _, _ = time_grid(args.t_final, args.dt, 1, "ensemble_convergence")
     reference = integrate_ode(model, rho0, args.t_final, args.dt / 10.0,
                               record_every=steps * 10)
 
@@ -37,7 +37,7 @@ def main():
     print(f"{'trajectories':>12} {'|mean - ode|':>14} {'stderr':>12} {'ratio':>8}")
     for count in args.counts:
         stats, _ = run_ensemble(model, rho0, args.t_final, args.dt, count,
-                                seed=args.seed, record_every=steps, workers=4)
+                                seed=args.seed, record_every=steps)
         gap = frobenius(stats.mean_state[-1] - reference.states[-1])
         stderr = stats.stderr[-1]
         ratio = gap / stderr if stderr > 0 else float("inf")

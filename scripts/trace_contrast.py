@@ -11,11 +11,12 @@ Usage:
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
-from lindbladsde.lindblad import validate_model
+from lindbladsde.lindblad import time_grid, validate_model
 from lindbladsde.unraveling import run_ensemble, run_trajectory
 
 
@@ -26,6 +27,9 @@ def main():
     parser.add_argument("--trajectories", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    n_steps, _, _ = time_grid(args.t_final, args.dt, 1, "trace_contrast")
+    # every 100th step, or the largest divisor of 100 that divides the run
+    record_every = math.gcd(n_steps, 100)
 
     header = (f"{'preset':>26} {'constrained':>11} {'traj |tr-1| max':>16} "
               f"{'mean |tr-1| max':>16} {'min eig seen':>13}")
@@ -44,7 +48,7 @@ def main():
 
         stats, diag = run_ensemble(model, rho0, args.t_final, args.dt,
                                    args.trajectories, seed=args.seed,
-                                   record_every=100, workers=4)
+                                   record_every=record_every)
         mean_traces = np.einsum("taa->t", stats.mean_state).real
         mean_gap = np.abs(mean_traces - 1.0).max()
         print(f"{name:>26} {str(constrained):>11} {worst:>16.3e} "

@@ -63,9 +63,21 @@ def sample_increments(basis: NoiseBasis, dt: float, rng: np.random.Generator,
     """
     if dt <= 0.0:
         raise ValueError("sample_increments: dt must be positive")
-    scale = np.sqrt(basis.eigenvalues * dt)
-    xi = rng.standard_normal((count, basis.noise_count))
-    return (xi * scale) @ basis.orthogonal.T
+    return _correlate(rng.standard_normal((count, basis.noise_count)), basis, dt)
+
+
+def _correlate(xi: np.ndarray, basis: NoiseBasis, dt: float) -> np.ndarray:
+    """Turn standard normals (..., N) into increments, overwriting xi.
+
+    Scales direction r by sqrt(eigenvalue_r * dt), then rotates into the
+    noise basis. A (count, n_steps, N) stack is rotated as count separate
+    (n_steps, N) products, the very product sample_increments makes for one
+    trajectory, so both give the same bits. One (count * n_steps, N)
+    product would not: for n_steps = 1 numpy takes a vector-matrix path
+    that rounds differently.
+    """
+    xi *= np.sqrt(basis.eigenvalues * dt)
+    return xi @ basis.orthogonal.T
 
 
 def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
@@ -87,8 +99,13 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
     g = np.einsum("...n,nab->...ab", dw * model.weights, model.lindblad_ops)
     g = g + dt * drift_operator(model)
     out = rho + g @ rho + rho @ adjoint(g)
+    d = model.dim
     for v in model.lindblad_ops:
-        out = out + dt * ((v @ rho) @ v.conj().T)
+        # The right factor is one (K d x d)(d x d) product over the whole
+        # batch, with the bits of K stacked d x d products. The left product
+        # v @ rho stays stacked: reshaped, it rounds differently.
+        vrv = ((v @ rho).reshape(-1, d) @ v.conj().T).reshape(rho.shape)
+        out = out + dt * vrv
     return hermitian_part(out)
 
 
@@ -146,6 +163,12 @@ def stochastic_unitary_step(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
     k = check_hermitian(np.asarray(k, dtype=complex), name="noise generator")
     rho = np.asarray(rho, dtype=complex)
     dw = np.asarray(dw, dtype=float)
+    return _unitary_update(h, k, rho, dt, dw)
+
+
+def _unitary_update(h: np.ndarray, k: np.ndarray, rho: np.ndarray, dt: float,
+                    dw: np.ndarray) -> np.ndarray:
+    """One exact unitary step with no input checks; the chunk loop's kernel."""
     generator = h * dt + k * np.expand_dims(dw, (-1, -2))
     w, q = np.linalg.eigh(generator)
     v = (q * np.exp(-1j * w)[..., None, :]) @ adjoint(q)
@@ -208,12 +231,16 @@ def _purities(states: np.ndarray) -> np.ndarray:
 
 def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
                            basis: NoiseBasis, dt: float) -> np.ndarray:
-    """Increments for trajectories [start, start+count), shape (count, n_steps, N)."""
-    out = np.empty((count, n_steps, basis.noise_count))
+    """Increments for trajectories [start, start+count), shape (count, n_steps, N).
+
+    Row i is what sample_increments draws from trajectory_rng(seed, start + i)
+    for n_steps steps: each trajectory's normals go straight into the chunk
+    array, which is then transformed once.
+    """
+    xi = np.empty((count, n_steps, basis.noise_count))
     for i in range(count):
-        out[i] = sample_increments(basis, dt, trajectory_rng(seed, start + i),
-                                   count=n_steps)
-    return out
+        trajectory_rng(seed, start + i).standard_normal(out=xi[i])
+    return _correlate(xi, basis, dt)
 
 
 def _recorded_sums(rho: np.ndarray):
@@ -244,7 +271,7 @@ def _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed, start,
         if stepper == "euler":
             rho = _euler_update(model, rho, dt, dw[:, k, :])
         else:
-            rho = stochastic_unitary_step(model.hamiltonian, k_op, rho, dt, dw[:, k, 0])
+            rho = _unitary_update(model.hamiltonian, k_op, rho, dt, dw[:, k, 0])
         finite = np.all(np.isfinite(rho), axis=(-1, -2))
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
@@ -307,7 +334,9 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     in fixed-size chunks, vectorized over the chunk; chunks may run on a
     thread pool, and partial sums are reduced in chunk order, so the result
     is identical for a given (seed, n_traj, dt, model) whatever the worker
-    count. Trace extremes are tracked at every step, eigenvalue and purity
+    count. The pool measured slower than serial chunks on every preset, so
+    the CLI runs chunks serially; workers remains for library callers.
+    Trace extremes are tracked at every step, eigenvalue and purity
     diagnostics at the recorded samples.
 
     Args:
@@ -320,7 +349,8 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
         record_every: sample cadence in steps, a divisor of the step count.
         stepper: "euler" for the general linear scheme, "exact_unitary" for
             single-noise models with an anti-Hermitian noise operator.
-        workers: thread count for chunk evaluation.
+        workers: thread count for chunk evaluation; 1 runs the chunks in
+            order on the calling thread.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

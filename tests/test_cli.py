@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -214,6 +215,23 @@ class TestSdeCommand:
                      "--t-final", "0.02", "--dt", "1e-3", "--trajectories", "8",
                      "--stepper", "exact-unitary", "--out", str(out)])
         assert code == EXIT_OK
+
+    def test_chunks_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        import lindbladsde.unraveling as unr
+
+        threads = []
+        original = unr._run_chunk
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(unr, "_run_chunk", recording)
+        n_traj = 2 * unr._CHUNK_TRAJECTORIES + 1
+        assert main(["sde", "--model", "dephasing", "--t-final", "0.01", "--dt", "0.01",
+                     "--trajectories", str(n_traj), "--out",
+                     str(tmp_path / "mean.csv")]) == EXIT_OK
+        assert threads == [threading.get_ident()] * 3
 
     def test_exact_unitary_rejected_for_damping(self, tmp_path, capsys):
         out = tmp_path / "mean.csv"

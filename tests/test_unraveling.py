@@ -14,12 +14,22 @@ from lindbladsde.lindblad import (
     LindbladModel,
     NumericalError,
     diagonalize_covariance,
+    drift_operator,
     integrate_ode,
     lindblad_rhs,
 )
-from lindbladsde.operators import SIGMA_MINUS, SIGMA_Z, adjoint, commutator, frobenius
+from lindbladsde.operators import (
+    SIGMA_MINUS,
+    SIGMA_Z,
+    adjoint,
+    commutator,
+    frobenius,
+    hermitian_part,
+)
 from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model, uniform_superposition
 from lindbladsde.unraveling import (
+    _euler_update,
+    _trajectory_increments,
     run_ensemble,
     run_trajectory,
     sample_increments,
@@ -179,6 +189,47 @@ class TestSdeStep:
         model = preset_model("dephasing")
         with pytest.raises(ValueError, match="increment shape"):
             sde_step(model, uniform_superposition(2), 1e-3, np.zeros(2))
+
+
+def _stacked_euler_reference(model, rho, dt, dw):
+    """The Euler update with the right factor v_n rho v_n^dagger formed as a
+    stack of d x d products, one per state."""
+    g = np.einsum("...n,nab->...ab", dw * model.weights, model.lindblad_ops)
+    g = g + dt * drift_operator(model)
+    out = rho + g @ rho + rho @ adjoint(g)
+    for v in model.lindblad_ops:
+        out = out + dt * ((v @ rho) @ v.conj().T)
+    return hermitian_part(out)
+
+
+class TestKernelBits:
+    """The batched kernels give exactly the bits of their per-state forms."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("batch", [(), (1,), (4096,)])
+    def test_euler_update_matches_stacked_products(self, dim, batch):
+        rng = philox(40 + dim)
+        model = random_model(rng, dim, 3)
+        rho = (rng.standard_normal(batch + (dim, dim))
+               + 1j * rng.standard_normal(batch + (dim, dim)))
+        dw = rng.standard_normal(batch + (3,)) * 0.03
+        assert np.array_equal(_euler_update(model, rho, 1e-3, dw),
+                              _stacked_euler_reference(model, rho, 1e-3, dw))
+
+    @pytest.mark.parametrize("model", [
+        preset_model("stochastic-unitary-larmor"),
+        preset_model("two-noise-correlated"),
+        random_model(philox(41), 3, 4, rank=2),
+    ], ids=["larmor", "two-noise-correlated", "rank2-n4"])
+    @pytest.mark.parametrize("n_steps", [1, 25])
+    def test_chunk_increments_match_per_trajectory_draws(self, model, n_steps):
+        seed, start, count, dt = 11, 4094, 5, 1e-3
+        chunk = _trajectory_increments(seed, start, count, n_steps, model.noise_basis, dt)
+        assert chunk.shape == (count, n_steps, model.noise_count)
+        for i in range(count):
+            row = sample_increments(model.noise_basis, dt, trajectory_rng(seed, start + i),
+                                    count=n_steps)
+            assert np.array_equal(chunk[i], row)
 
 
 class TestStochasticUnitaryStep:
@@ -433,6 +484,21 @@ class TestRunEnsemble:
         assert abs(diag.trace_min - 1.0) <= 1e-12
         assert abs(diag.trace_max - 1.0) <= 1e-12
         assert diag.min_eigenvalue >= -1e-12
+
+    def test_exact_unitary_checks_its_operators_once_per_run(self, monkeypatch):
+        import lindbladsde.unraveling as unr
+
+        names = []
+        original = unr.check_hermitian
+
+        def counting(m, tol=unr.HERMITICITY_TOL, name="matrix"):
+            names.append(name)
+            return original(m, tol, name)
+
+        monkeypatch.setattr(unr, "check_hermitian", counting)
+        run_ensemble(preset_model("stochastic-unitary-larmor"), uniform_superposition(2),
+                     0.01, 1e-3, 8, seed=1, stepper="exact_unitary")
+        assert names == ["noise operator (as -iK)"]
 
     def test_rejects_unknown_stepper(self):
         with pytest.raises(ValueError, match="stepper"):
