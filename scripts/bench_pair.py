@@ -3,17 +3,21 @@
 For each workload, runs `perfbench/run.py --trace 0` with one seed on the
 base commit and on the working tree, alternating which side goes first
 from pair to pair, so that a slow spell of the machine falls on both
-sides alike. Writes every run's end-to-end metrics and `correct` flag,
-the per-side medians and quartiles, and the change/base ratio of the
-medians to one JSON file.
+sides alike. Every workload gets 10 pairs of runs, each as long as
+`run_seconds` in BENCHMARK.json. Writes every run's end-to-end metrics
+and `correct` flag, the per-side medians and quartiles, the change/base
+ratio of the medians and each side's `source_sha256` (perfbench's digest
+of the package and benchmark sources) to one JSON file, together with
+the command that reproduces it, base commit resolved.
 
     python3 scripts/bench_pair.py --workload sde-qubit-long sde-qubit-wide \\
-        --seed 1001 --pairs 6 --seconds 30 --out BENCH_4.json
+        --seed 1001 --base HEAD~1 --out BENCH_4.json
 
 Run it from anywhere inside the repository. The base commit (default
 HEAD, the parent of uncommitted work) is extracted with `git archive`
 into a temporary directory that is removed afterwards; the repository's
-own git metadata is only read.
+own git metadata is only read. Leave the working tree alone while it
+runs: a run whose sources changed midway is refused.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -65,6 +70,14 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def same_source(side: dict, env: dict) -> None:
+    """Record the side's source digest; refuse a run whose sources changed."""
+    digest = side.setdefault("source_sha256", env["source_sha256"])
+    if digest != env["source_sha256"]:
+        raise RuntimeError(f"sources changed during the benchmark: {digest} -> "
+                           f"{env['source_sha256']}")
+
+
 def summarize(runs: list[dict]) -> dict:
     names = runs[0]["metrics"]
     summary = {}
@@ -79,23 +92,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_4.json")
     args = parser.parse_args()
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be at least 1 and --seconds positive")
 
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     def better(name, change, base):
         return change < base if directions[name] == "lower" else change > base
 
     record = {
-        "command": " ".join(["python3", "scripts/bench_pair.py", *sys.argv[1:]]),
+        "command": " ".join(["python3", "scripts/bench_pair.py", "--workload",
+                             *args.workload, "--seed", str(args.seed),
+                             "--base", base_commit, "--out", args.out]),
         "base": {"commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain",
@@ -109,17 +121,18 @@ def main() -> int:
         sides = {"base": base_dir, "change": ROOT}
         for workload in args.workload:
             runs = {"base": [], "change": []}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ["base", "change"] if pair % 2 == 0 else ["change", "base"]
                 for side in order:
-                    run = bench_run(sides[side], workload, args.seed, args.seconds)
+                    run = bench_run(sides[side], workload, args.seed, seconds)
+                    same_source(record[side], run["env"])
                     record["env"] = {k: run["env"][k] for k in ("numpy", "python", "blas",
                                                                 "blas_threads")}
                     runs[side].append({k: v for k, v in run.items() if k != "env"})
                     print(f"{workload} pair {pair} {side}: correct={run['correct']} "
                           + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
                           file=sys.stderr, flush=True)
-            entry = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs}
+            entry = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS}
             for side, side_runs in runs.items():
                 entry[side] = {"correct": all(r["correct"] for r in side_runs),
                                "summary": summarize(side_runs), "runs": side_runs}

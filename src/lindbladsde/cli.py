@@ -209,8 +209,8 @@ def cmd_ode(args) -> int:
 def cmd_sde(args) -> int:
     _check_grid(args)
     model, _ = parse_model(args.model)
-    # Chunks run in order on this thread: a thread pool measured slower than
-    # serial chunks for every preset, so only library callers pass workers.
+    # Chunks run in order on this thread: on a 2-vCPU machine a two-thread
+    # pool measured slower than serial chunks for every preset.
     stats, diagnostics = run_ensemble(
         model, uniform_superposition(model.dim), args.t_final, args.dt,
         args.trajectories, args.seed, args.record_every,

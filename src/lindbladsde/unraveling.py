@@ -101,9 +101,10 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
     out = rho + g @ rho + rho @ adjoint(g)
     d = model.dim
     for v in model.lindblad_ops:
-        # The right factor is one (K d x d)(d x d) product over the whole
-        # batch, with the bits of K stacked d x d products. The left product
-        # v @ rho stays stacked: reshaped, it rounds differently.
+        # The right factor is one product over the whole trajectory batch,
+        # (count*d x d)(d x d), with the bits of count stacked d x d
+        # products. The left product v @ rho stays stacked: reshaped, it
+        # rounds differently.
         vrv = ((v @ rho).reshape(-1, d) @ v.conj().T).reshape(rho.shape)
         out = out + dt * vrv
     return hermitian_part(out)
@@ -334,8 +335,10 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     in fixed-size chunks, vectorized over the chunk; chunks may run on a
     thread pool, and partial sums are reduced in chunk order, so the result
     is identical for a given (seed, n_traj, dt, model) whatever the worker
-    count. The pool measured slower than serial chunks on every preset, so
-    the CLI runs chunks serially; workers remains for library callers.
+    count. The CLI runs chunks serially: on a 2-vCPU machine the pool with
+    workers=2 measured slower than serial chunks on every preset (larger
+    core counts were not measured). The pool is kept only because the
+    benchmark's own tests pin it, and goes with the next benchmark change.
     Trace extremes are tracked at every step, eigenvalue and purity
     diagnostics at the recorded samples.
 
@@ -349,8 +352,9 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
         record_every: sample cadence in steps, a divisor of the step count.
         stepper: "euler" for the general linear scheme, "exact_unitary" for
             single-noise models with an anti-Hermitian noise operator.
-        workers: thread count for chunk evaluation; 1 runs the chunks in
-            order on the calling thread.
+        workers: thread count for chunk evaluation; 1 (the default, and
+            what the CLI uses) runs the chunks in order on the calling
+            thread.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
