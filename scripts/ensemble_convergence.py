@@ -29,7 +29,7 @@ def main():
 
     model = preset_model(args.preset)
     rho0 = uniform_superposition(model.dim)
-    steps, _, _ = time_grid(args.t_final, args.dt, 1, "ensemble_convergence")
+    steps, _ = time_grid(args.t_final, args.dt, 1, "ensemble_convergence")
     reference = integrate_ode(model, rho0, args.t_final, args.dt / 10.0,
                               record_every=steps * 10)
 

@@ -27,7 +27,7 @@ def main():
     parser.add_argument("--trajectories", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    n_steps, _, _ = time_grid(args.t_final, args.dt, 1, "trace_contrast")
+    n_steps, _ = time_grid(args.t_final, args.dt, 1, "trace_contrast")
     # every 100th step, or the largest divisor of 100 that divides the run
     record_every = math.gcd(n_steps, 100)
 

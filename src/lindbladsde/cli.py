@@ -150,35 +150,26 @@ def _format(x: float) -> str:
     return repr(float(x))
 
 
-def _state_header(dim: int) -> list[str]:
-    cols = ["time"]
-    for i in range(dim):
-        for j in range(dim):
-            cols.append(f"rho_{i}_{j}_re")
-            cols.append(f"rho_{i}_{j}_im")
-    cols += ["trace_re", "min_eigenvalue", "purity"]
-    return cols
+def _states_csv(times, states, stderr=None) -> str:
+    """The recorded series as CSV, one row per recorded time.
 
-
-def _state_cells(t: float, rho: np.ndarray) -> list[str]:
-    cells = [_format(t)]
-    for entry in rho.reshape(-1):
-        cells.append(_format(entry.real))
-        cells.append(_format(entry.imag))
-    cells.append(_format(np.trace(rho).real))
-    cells.append(_format(_min_eigenvalues(rho)))
-    cells.append(_format(_purities(rho)))
-    return cells
-
-
-def _states_csv(times, states, extra_header=(), extra_cells=None) -> str:
-    header = _state_header(states.shape[-1]) + list(extra_header)
+    Columns: time; the real and imaginary part of every entry of rho in
+    row-major order; the trace, smallest eigenvalue and purity of rho; and
+    stderr when given.
+    """
+    d = states.shape[-1]
+    header = ["time",
+              *(f"rho_{i}_{j}_{part}" for i, j in np.ndindex(d, d) for part in ("re", "im")),
+              "trace_re", "min_eigenvalue", "purity"]
+    entries = states.reshape(len(times), -1)
+    parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(times), -1)
+    columns = [times, parts, np.trace(states, axis1=-2, axis2=-1).real,
+               _min_eigenvalues(states), _purities(states)]
+    if stderr is not None:
+        header.append("stderr")
+        columns.append(stderr)
     lines = [",".join(header)]
-    for idx, (t, rho) in enumerate(zip(times, states)):
-        cells = _state_cells(t, rho)
-        if extra_cells is not None:
-            cells.append(_format(extra_cells[idx]))
-        lines.append(",".join(cells))
+    lines += [",".join(map(_format, row)) for row in np.column_stack(columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -216,8 +207,7 @@ def cmd_sde(args) -> int:
         args.trajectories, args.seed, args.record_every,
         args.stepper.replace("-", "_"),
     )
-    content = _states_csv(stats.times, stats.mean_state,
-                          extra_header=("stderr",), extra_cells=stats.stderr)
+    content = _states_csv(stats.times, stats.mean_state, stats.stderr)
     _write_output(args.out, content)
     print(f"trajectories={stats.trajectory_count} seed={stats.seed} "
           f"trace_extremes=({diagnostics.trace_min:.6g}, {diagnostics.trace_max:.6g}) "
@@ -257,9 +247,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_choi(args) -> int:
-    model, _ = parse_model(args.model)
     if args.dt <= 0:
         raise _UsageError("--dt must be positive")
+    model, _ = parse_model(args.model)
     root = np.sqrt(args.dt)
     lines = ["dw_scale,index,eigenvalue"]
     for scale in (0.0, 1.0, -1.0):

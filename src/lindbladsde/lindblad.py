@@ -259,11 +259,12 @@ class OdeTrajectory:
 
 
 def time_grid(t_final: float, dt: float, record_every: int, name: str):
-    """Step count, recorded step indices and recorded times of a run.
+    """Step count and recorded times of a run.
 
     t_final has to be a whole number of steps dt within rounding, and
-    record_every a divisor of that number. The indices are 0, record_every,
-    ..., n_steps and the times are those indices times dt.
+    record_every a divisor of that number. A run records its initial state
+    and the state after every record_every-th step, at the times 0,
+    record_every, ..., n_steps times dt.
     """
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError(f"{name}: t_final and dt must be positive")
@@ -276,8 +277,7 @@ def time_grid(t_final: float, dt: float, record_every: int, name: str):
         raise ValueError(
             f"{name}: record_every={record_every} must divide the step count {n}"
         )
-    indices = np.arange(0, n + 1, record_every)
-    return n, indices, indices * dt
+    return n, np.arange(0, n + 1, record_every) * dt
 
 
 def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
@@ -291,9 +291,9 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
     entries, which signals that dt is too large for the model norms.
     """
     rho = np.array(check_density_matrix(rho0), dtype=complex)
-    n_steps, _, times = time_grid(t_final, dt, record_every, "integrate_ode")
+    n_steps, times = time_grid(t_final, dt, record_every, "integrate_ode")
 
-    states = [rho.copy()]
+    states = [rho]
     for k in range(n_steps):
         k1 = lindblad_rhs(model, rho)
         k2 = lindblad_rhs(model, rho + (0.5 * dt) * k1)
@@ -307,7 +307,7 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
                 f"dt={dt!r} is too large for this model"
             )
         if (k + 1) % record_every == 0:
-            states.append(rho.copy())
+            states.append(rho)
     return OdeTrajectory(times=times, states=np.array(states))
 
 

@@ -78,26 +78,24 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL,
     return m
 
 
-def check_density_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL,
-                         psd_tol: float = PSD_TOL) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate the state invariants: Hermitian, unit trace, PSD within tolerance."""
     rho = check_hermitian(rho, name="density matrix")
     trace_defect = abs(np.trace(rho) - 1.0)
-    if trace_defect > trace_tol:
-        raise ValueError(f"density matrix: |tr - 1| = {trace_defect:.3e} > {trace_tol:.1e}")
+    if trace_defect > TRACE_TOL:
+        raise ValueError(f"density matrix: |tr - 1| = {trace_defect:.3e} > {TRACE_TOL:.1e}")
     smallest = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
-    if smallest < -psd_tol:
-        raise ValueError(f"density matrix: min eigenvalue {smallest:.3e} < -{psd_tol:.1e}")
+    if smallest < -PSD_TOL:
+        raise ValueError(f"density matrix: min eigenvalue {smallest:.3e} < -{PSD_TOL:.1e}")
     return rho
 
 
-def check_real_symmetric(c: np.ndarray, tol: float = SYM_TOL,
-                         name: str = "covariance") -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    c = require_square(c, name)
+def check_real_symmetric(c: np.ndarray) -> np.ndarray:
+    """Validate a covariance: a finite real square matrix, symmetric within SYM_TOL."""
+    c = require_square(np.asarray(c, dtype=float), "covariance")
     scale = max(frobenius(c), 1.0)
-    if frobenius(c - c.T) > tol * scale:
-        raise ValueError(f"{name}: not symmetric within {tol:.1e}")
+    if frobenius(c - c.T) > SYM_TOL * scale:
+        raise ValueError(f"covariance: not symmetric within {SYM_TOL:.1e}")
     return c
 
 
@@ -127,12 +125,6 @@ def real_matrix_from_literal(rows, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: entries must be finite")
     return arr
-
-
-def matrix_to_literal(m: np.ndarray) -> list:
-    """Inverse of matrix_from_literal: nested lists of [re, im]."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:

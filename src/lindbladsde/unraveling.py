@@ -251,7 +251,7 @@ def _recorded_sums(rho: np.ndarray):
             float(_min_eigenvalues(rho).min()))
 
 
-def _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed, start,
+def _run_chunk(model, rho0, dt, n_steps, record_every, k_op, seed, start,
                count, stepper):
     """Evolve trajectories [start, start+count) together: the one time loop.
 
@@ -282,8 +282,7 @@ def _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed, start,
         traces = np.einsum("kaa->k", rho).real
         trace_min = min(trace_min, float(traces.min()))
         trace_max = max(trace_max, float(traces.max()))
-        # the last record index is n_steps, so this never reads past the end
-        if k + 1 == rec_indices[len(recorded)]:
+        if (k + 1) % record_every == 0:
             recorded.append(_recorded_sums(rho))
     state_sum, sq_sum, min_eigs = zip(*recorded)
     return np.array(state_sum), np.array(sq_sum), trace_min, trace_max, min(min_eigs)
@@ -292,15 +291,15 @@ def _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed, start,
 def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
     """Checks and time grid shared by both runners.
 
-    Returns (rho0, n_steps, record indices, record times, K or None).
+    Returns (rho0, n_steps, record times, K or None).
     """
     rho0 = np.array(check_density_matrix(rho0), dtype=complex)
     if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
     check_step_size(model, dt)
-    n_steps, rec_indices, times = time_grid(t_final, dt, record_every, name)
+    n_steps, times = time_grid(t_final, dt, record_every, name)
     k_op = unitary_noise_operator(model) if stepper == "exact_unitary" else None
-    return rho0, n_steps, rec_indices, times, k_op
+    return rho0, n_steps, times, k_op
 
 
 def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
@@ -312,11 +311,11 @@ def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
     is bit-identical to trajectory ``traj_index`` of an ensemble run with
     the same seed.
     """
-    rho0, n_steps, rec_indices, times, k_op = _prepare(
+    rho0, n_steps, times, k_op = _prepare(
         model, rho0, t_final, dt, record_every, stepper, "run_trajectory")
     # a sum over one trajectory is that trajectory
     states, _, trace_min, trace_max, min_eig = _run_chunk(
-        model, rho0, dt, n_steps, rec_indices, k_op, seed, traj_index, 1, stepper)
+        model, rho0, dt, n_steps, record_every, k_op, seed, traj_index, 1, stepper)
     return Trajectory(
         times=times,
         states=states,
@@ -358,7 +357,7 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    rho0, n_steps, rec_indices, times, k_op = _prepare(
+    rho0, n_steps, times, k_op = _prepare(
         model, rho0, t_final, dt, record_every, stepper, "run_ensemble")
 
     starts = list(range(0, n_traj, _CHUNK_TRAJECTORIES))
@@ -366,7 +365,7 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
 
     def work(job):
         start, count = job
-        return _run_chunk(model, rho0, dt, n_steps, rec_indices, k_op, seed,
+        return _run_chunk(model, rho0, dt, n_steps, record_every, k_op, seed,
                           start, count, stepper)
 
     if workers > 1 and len(jobs) > 1:
@@ -375,7 +374,7 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     else:
         partials = [work(job) for job in jobs]
 
-    n_rec = len(rec_indices)
+    n_rec = len(times)
     state_sum = np.zeros((n_rec, model.dim, model.dim), complex)
     sq_sum = np.zeros(n_rec)
     trace_min, trace_max, min_eig = np.inf, -np.inf, np.inf

@@ -289,3 +289,11 @@ class TestChoiCommand:
                      "--out", str(out)])
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["missing.json", "dephasing"])
+    def test_dt_checked_before_the_model_loads(self, tmp_path, capsys, model):
+        out = tmp_path / "x.csv"
+        code = main(["choi", "--model", model, "--dt", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "model report" not in capsys.readouterr().err
+        assert not out.exists()

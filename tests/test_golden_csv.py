@@ -45,6 +45,23 @@ QUTRIT_MODEL = {
     "covariance": [[1.0, 0.6, 0.8], [0.6, 1.0, 0.96], [0.8, 0.96, 1.0]],
 }
 
+
+# A d=8 model with closed-form entries: H[a][b] = (a+b)/10 + i(a-b)/20, a
+# weighted lowering operator and a traceless diagonal operator with
+# correlated noises. d=8 sends the trace column through numpy's pairwise sum
+# and the minimum-eigenvalue column through eigvalsh.
+D8 = range(8)
+QUDIT8_MODEL = {
+    "dim": 8,
+    "hamiltonian": [[[(a + b) / 10, (a - b) / 20] for b in D8] for a in D8],
+    "lindblad_ops": [
+        [[[b ** 0.5 / 4, 0.0] if b == a + 1 else [0.0, 0.0] for b in D8] for a in D8],
+        [[[(a - 3.5) / 8, 0.0] if b == a else [0.0, 0.0] for b in D8] for a in D8],
+    ],
+    "weights": [0.6, 0.8],
+    "covariance": [[1.0, 0.3], [0.3, 1.0]],
+}
+
 SDE = ["--t-final", "0.05", "--dt", "0.005", "--trajectories", "300",
        "--seed", "11", "--record-every", "2"]
 
@@ -56,6 +73,8 @@ RUNS = {
                       "--dt", "0.01", "--record-every", "5"],
     "choi-amplitude-damping": ["choi", "--model", "amplitude-damping", "--dt", "0.01"],
     "sde-qutrit-rank2-file": ["sde", "--model", "{qutrit}", *SDE],
+    "ode-qudit8-file": ["ode", "--model", "{qudit8}", "--t-final", "0.2",
+                        "--dt", "0.01", "--record-every", "2"],
 }
 
 GOLDEN_SHA256 = {
@@ -69,14 +88,18 @@ GOLDEN_SHA256 = {
         "de396341e7a04e510b86e265998ef59c8923e4c8089c48240bb48cb692f159a6",
     "sde-qutrit-rank2-file":
         "c91363141670e2a8ab7ef8f46c73b7dcbf85e2bf1c75e1b49ec529f82e13634b",
+    "ode-qudit8-file":
+        "4db529c45d292a4d878c4e3d17bb04ebfae7bc9deb8d11a7f0413a27836a4fe1",
 }
 
 
 def csv_digest(tmp_path, name: str) -> str:
-    model_path = tmp_path / "qutrit.json"
-    model_path.write_text(json.dumps(QUTRIT_MODEL))
+    argv = RUNS[name]
+    for stem, model in (("qutrit", QUTRIT_MODEL), ("qudit8", QUDIT8_MODEL)):
+        model_path = tmp_path / f"{stem}.json"
+        model_path.write_text(json.dumps(model))
+        argv = [arg.replace(f"{{{stem}}}", str(model_path)) for arg in argv]
     out = tmp_path / f"{name}.csv"
-    argv = [arg.replace("{qutrit}", str(model_path)) for arg in RUNS[name]]
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     return hashlib.sha256(out.read_bytes()).hexdigest()
 

@@ -12,6 +12,7 @@ from lindbladsde.lindblad import (
     drift_operator,
     integrate_ode,
     lindblad_rhs,
+    time_grid,
     validate_model,
 )
 from lindbladsde.operators import (
@@ -222,6 +223,27 @@ class TestGenerator:
         stacked = lindblad_rhs(model, batch)
         for i in range(5):
             assert np.array_equal(stacked[i], lindblad_rhs(model, batch[i]))
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_final, dt, record_every, n", [
+        (1.0, 1e-2, 10, 100),
+        (0.05, 1e-3, 1, 50),
+        (0.2, 0.01, 2, 20),
+        (np.pi, np.pi / 2000.0, 2000, 2000),
+    ])
+    def test_step_count_and_recorded_times(self, t_final, dt, record_every, n):
+        n_steps, times = time_grid(t_final, dt, record_every, "run")
+        assert n_steps == n
+        assert np.array_equal(times, np.arange(0, n + 1, record_every) * dt)
+
+    def test_rejects_dt_that_does_not_divide_t_final(self):
+        with pytest.raises(ValueError, match=r"run: dt=0\.0003 does not divide t_final=1\.0"):
+            time_grid(1.0, 3e-4, 1, "run")
+
+    def test_rejects_record_every_that_does_not_divide_the_step_count(self):
+        with pytest.raises(ValueError, match="run: record_every=7 must divide the step count 100"):
+            time_grid(1.0, 1e-2, 7, "run")
 
 
 class TestIntegrateOde:

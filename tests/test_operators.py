@@ -15,7 +15,6 @@ from lindbladsde.operators import (
     check_hermitian,
     commutator,
     matrix_from_literal,
-    matrix_to_literal,
     real_matrix_from_literal,
 )
 
@@ -122,10 +121,6 @@ class TestStructureChecks:
 
 
 class TestLiterals:
-    def test_round_trip(self):
-        m = random_complex(philox(21), 3)
-        assert np.array_equal(matrix_from_literal(matrix_to_literal(m)), m)
-
     def test_hand_literal(self):
         m = matrix_from_literal([[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
         assert np.array_equal(m, np.array([[0.0, 1.0j], [-1.0j, 0.0]]))
