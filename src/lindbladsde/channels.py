@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import LindbladModel, drift_operator
+from .lindblad import LindbladModel, drift_operator, require_positive
 from .operators import frobenius, hermitian_part, readonly
 
 
@@ -78,8 +78,7 @@ def build_infinitesimal_kraus(model: LindbladModel, dt: float,
     increments satisfying (dW^n)^2 = dt, applying the channel to a state
     agrees with the one-step Euler update up to order dt^(3/2).
     """
-    if dt <= 0.0:
-        raise ValueError("build_infinitesimal_kraus: dt must be positive")
+    require_positive("build_infinitesimal_kraus", dt=dt)
     dw = np.asarray(dw, dtype=float)
     if dw.shape != (model.noise_count,):
         raise ValueError(

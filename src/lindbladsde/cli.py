@@ -34,7 +34,6 @@ from .ito import derive_stochastic_evolution
 from .lindblad import (
     LindbladModel,
     NumericalError,
-    ValidationReport,
     integrate_ode,
     lindblad_rhs,
     time_grid,
@@ -61,13 +60,12 @@ class _UsageError(Exception):
     pass
 
 
-def parse_model(path_or_preset: str) -> tuple[LindbladModel, ValidationReport]:
+def parse_model(path_or_preset: str) -> LindbladModel:
     """Load and validate a model from a JSON file or a preset name.
 
-    An existing file wins over a preset of the same name. Returns the model
-    and its validation report, which also goes to stderr; hard invariant
-    violations raise ModelFileError, the soft trajectory-trace check is
-    reported only.
+    An existing file wins over a preset of the same name. The model's
+    validation report goes to stderr; hard invariant violations raise
+    ModelFileError, the soft trajectory-trace check is reported only.
     """
     path = Path(path_or_preset)
     if path.is_file():
@@ -80,9 +78,8 @@ def parse_model(path_or_preset: str) -> tuple[LindbladModel, ValidationReport]:
             f"(presets: {', '.join(PRESET_NAMES)})"
         )
     print(f"model report for {path_or_preset!r}:", file=sys.stderr)
-    report = validate_model(model)
-    print(report.summary(), file=sys.stderr)
-    return model, report
+    print(validate_model(model).summary(), file=sys.stderr)
+    return model
 
 
 def _model_from_file(path: Path) -> LindbladModel:
@@ -180,8 +177,8 @@ def _write_output(path: str, content: str) -> None:
 
 
 def cmd_check(args) -> int:
-    model, report = parse_model(args.model)
-    verdict = "true" if report.trajectory_trace_preserving else "false"
+    model = parse_model(args.model)
+    verdict = "true" if model.report.trajectory_trace_preserving else "false"
     print(f"model ok: dim={model.dim} noises={model.noise_count} "
           f"trajectory_trace_preserving={verdict}")
     return EXIT_OK
@@ -189,7 +186,7 @@ def cmd_check(args) -> int:
 
 def cmd_ode(args) -> int:
     _check_grid(args)
-    model, _ = parse_model(args.model)
+    model = parse_model(args.model)
     trajectory = integrate_ode(model, uniform_superposition(model.dim),
                                args.t_final, args.dt, args.record_every)
     content = _states_csv(trajectory.times, trajectory.states)
@@ -199,7 +196,7 @@ def cmd_ode(args) -> int:
 
 def cmd_sde(args) -> int:
     _check_grid(args)
-    model, _ = parse_model(args.model)
+    model = parse_model(args.model)
     # Chunks run in order on this thread: on a 2-vCPU machine a two-thread
     # pool measured slower than serial chunks for every preset.
     stats, diagnostics = run_ensemble(
@@ -216,7 +213,7 @@ def cmd_sde(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    model, _ = parse_model(args.model)
+    model = parse_model(args.model)
     rng = np.random.Generator(np.random.Philox(key=np.array([0xD5EED, 0], dtype=np.uint64)))
     g = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal(
         (model.dim, model.dim))
@@ -247,9 +244,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_choi(args) -> int:
-    if args.dt <= 0:
-        raise _UsageError("--dt must be positive")
-    model, _ = parse_model(args.model)
+    model = parse_model(args.model)
     root = np.sqrt(args.dt)
     lines = ["dw_scale,index,eigenvalue"]
     for scale in (0.0, 1.0, -1.0):
@@ -279,6 +274,17 @@ def _at_least(low: int):
     return integer
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type for a float flag that must be finite and positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
@@ -300,16 +306,16 @@ def _build_parser() -> _Parser:
 
     p_ode = sub.add_parser("ode", help="integrate the deterministic mean evolution")
     add_model(p_ode)
-    p_ode.add_argument("--t-final", type=float, required=True)
-    p_ode.add_argument("--dt", type=float, required=True)
+    p_ode.add_argument("--t-final", type=_finite_positive, required=True)
+    p_ode.add_argument("--dt", type=_finite_positive, required=True)
     p_ode.add_argument("--record-every", type=_at_least(1), default=1)
     p_ode.add_argument("--out", required=True)
     p_ode.set_defaults(func=cmd_ode)
 
     p_sde = sub.add_parser("sde", help="run a Monte Carlo trajectory ensemble")
     add_model(p_sde)
-    p_sde.add_argument("--t-final", type=float, required=True)
-    p_sde.add_argument("--dt", type=float, required=True)
+    p_sde.add_argument("--t-final", type=_finite_positive, required=True)
+    p_sde.add_argument("--dt", type=_finite_positive, required=True)
     p_sde.add_argument("--trajectories", type=_at_least(1), default=1000)
     p_sde.add_argument("--seed", type=_at_least(0), default=0)
     p_sde.add_argument("--record-every", type=_at_least(1), default=1)
@@ -326,7 +332,7 @@ def _build_parser() -> _Parser:
     p_choi = sub.add_parser(
         "choi", help="eigenvalues of the one-step channel's Choi matrix as CSV")
     add_model(p_choi)
-    p_choi.add_argument("--dt", type=float, required=True)
+    p_choi.add_argument("--dt", type=_finite_positive, required=True)
     p_choi.add_argument("--out", required=True)
     p_choi.set_defaults(func=cmd_choi)
     return parser

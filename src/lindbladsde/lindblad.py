@@ -74,7 +74,11 @@ def diagonalize_covariance(c: np.ndarray) -> NoiseBasis:
     This is the package's one eigendecomposition of a covariance; a model
     runs it once at construction and keeps the result as its noise_basis.
     """
-    c = check_real_symmetric(c)
+    return _eigenbasis(check_real_symmetric(c))
+
+
+def _eigenbasis(c: np.ndarray) -> NoiseBasis:
+    """diagonalize_covariance for a covariance already checked symmetric."""
     w, o = np.linalg.eigh(c)
     smallest = float(w[0])
     if smallest < -CLIP_TOL:
@@ -82,82 +86,10 @@ def diagonalize_covariance(c: np.ndarray) -> NoiseBasis:
             f"covariance: not positive semidefinite "
             f"(min eigenvalue {smallest:.3e} < -{CLIP_TOL:.1e})"
         )
-    w = w.copy()
-    w[w <= CLIP_TOL] = 0.0
+    w = np.where(w <= CLIP_TOL, 0.0, w)
     return NoiseBasis(orthogonal=o, eigenvalues=w,
                       active_count=int(np.count_nonzero(w > 0.0)),
                       smallest_raw_eigenvalue=smallest)
-
-
-@dataclass(frozen=True)
-class LindbladModel:
-    """Validated open-system model.
-
-    Construction enforces the hard invariants: H Hermitian, weights positive
-    with unit square-sum, covariance symmetric with unit diagonal and
-    positive semidefinite. The PSD check is the covariance's one
-    eigendecomposition, kept as noise_basis for the runners and for
-    :func:`validate_model`. The soft per-trajectory trace constraint is
-    reported by :func:`validate_model`, never enforced here. All arrays are
-    copied and frozen, so a model is safe to share across threads.
-    """
-
-    hamiltonian: np.ndarray
-    lindblad_ops: np.ndarray   # shape (N, d, d)
-    weights: np.ndarray        # shape (N,), positive, sum of squares 1
-    covariance: np.ndarray     # shape (N, N), unit diagonal, PSD
-    noise_basis: NoiseBasis = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        h = check_hermitian(np.asarray(self.hamiltonian, dtype=complex), name="hamiltonian")
-        ops = np.asarray(self.lindblad_ops, dtype=complex)
-        if ops.ndim != 3 or ops.shape[0] < 1:
-            raise ValueError(f"lindblad_ops: expected a nonempty (N, d, d) stack, got {ops.shape}")
-        d = h.shape[0]
-        if ops.shape[1:] != (d, d):
-            raise ValueError(
-                f"lindblad_ops: operator shape {ops.shape[1:]} does not match dim {d}"
-            )
-        if not np.all(np.isfinite(ops)):
-            raise ValueError("lindblad_ops: entries must be finite")
-        n = ops.shape[0]
-
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"weights: expected shape ({n},), got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights: all channel weights must be positive finite reals")
-        norm_defect = abs(float(np.sum(w * w)) - 1.0)
-        if norm_defect > WEIGHT_TOL:
-            raise ValueError(
-                f"weights: sum of squares differs from 1 by {norm_defect:.3e} "
-                f"(tolerance {WEIGHT_TOL:.1e})"
-            )
-
-        c = check_real_symmetric(np.asarray(self.covariance, dtype=float))
-        if c.shape != (n, n):
-            raise ValueError(f"covariance: expected shape ({n}, {n}), got {c.shape}")
-        diag_defect = float(np.max(np.abs(np.diag(c) - 1.0)))
-        if diag_defect > SYM_TOL:
-            raise ValueError(
-                f"covariance: diagonal differs from 1 by {diag_defect:.3e} "
-                f"(tolerance {SYM_TOL:.1e})"
-            )
-
-        object.__setattr__(self, "hamiltonian", readonly(h))
-        object.__setattr__(self, "lindblad_ops", readonly(ops))
-        object.__setattr__(self, "weights", readonly(w))
-        object.__setattr__(self, "covariance", readonly(c))
-        # Raises on an indefinite covariance, so no invalid model escapes.
-        object.__setattr__(self, "noise_basis", diagonalize_covariance(self.covariance))
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
-
-    @property
-    def noise_count(self) -> int:
-        return self.lindblad_ops.shape[0]
 
 
 @dataclass(frozen=True)
@@ -184,8 +116,101 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class LindbladModel:
+    """Validated open-system model.
+
+    Construction enforces the hard invariants: H Hermitian, weights positive
+    with unit square-sum, covariance symmetric with unit diagonal and
+    positive semidefinite. The PSD check is the covariance's one
+    eigendecomposition, kept as noise_basis for the runners. Construction
+    also derives, once, what every path reads: the residual report, kept as
+    report and returned by :func:`validate_model` (the soft per-trajectory
+    trace constraint is reported there, never enforced), and the drift
+    operator U, kept as drift and returned by :func:`drift_operator`. All
+    arrays are copied and frozen, so a model is safe to share across
+    threads.
+    """
+
+    hamiltonian: np.ndarray
+    lindblad_ops: np.ndarray   # shape (N, d, d)
+    weights: np.ndarray        # shape (N,), positive, sum of squares 1
+    covariance: np.ndarray     # shape (N, N), unit diagonal, PSD
+    noise_basis: NoiseBasis = field(init=False, repr=False, compare=False)
+    report: ValidationReport = field(init=False, repr=False, compare=False)
+    drift: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d)
+
+    def __post_init__(self):
+        h = check_hermitian(np.asarray(self.hamiltonian, dtype=complex), name="hamiltonian")
+        ops = np.asarray(self.lindblad_ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[0] < 1:
+            raise ValueError(f"lindblad_ops: expected a nonempty (N, d, d) stack, got {ops.shape}")
+        if ops.shape[1:] != h.shape:
+            raise ValueError(
+                f"lindblad_ops: operator shape {ops.shape[1:]} does not match dim {h.shape[0]}"
+            )
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("lindblad_ops: entries must be finite")
+        n = ops.shape[0]
+
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"weights: expected shape ({n},), got {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+            raise ValueError("weights: all channel weights must be positive finite reals")
+        weight_residual = abs(float(np.sum(w * w)) - 1.0)
+        if weight_residual > WEIGHT_TOL:
+            raise ValueError(
+                f"weights: sum of squares differs from 1 by {weight_residual:.3e} "
+                f"(tolerance {WEIGHT_TOL:.1e})"
+            )
+
+        c = check_real_symmetric(np.asarray(self.covariance, dtype=float))
+        if c.shape != (n, n):
+            raise ValueError(f"covariance: expected shape ({n}, {n}), got {c.shape}")
+        diagonal_residual = float(np.max(np.abs(np.diag(c) - 1.0)))
+        if diagonal_residual > SYM_TOL:
+            raise ValueError(
+                f"covariance: diagonal differs from 1 by {diagonal_residual:.3e} "
+                f"(tolerance {SYM_TOL:.1e})"
+            )
+        # Everything below reads the frozen copies the model keeps.
+        h, ops, w, c = map(readonly, (h, ops, w, c))
+        # Raises on an indefinite covariance, so no invalid model escapes.
+        basis = _eigenbasis(c)
+
+        # sum_n d_n (v_n + v_n^dagger) O[n, r] must vanish for every
+        # eigenvector with a positive eigenvalue; null directions never
+        # receive noise.
+        herm_parts = ops + adjoint(ops)
+        residuals = np.array([
+            frobenius(np.einsum("n,n,nab->ab", w, basis.orthogonal[:, r], herm_parts))
+            for r in np.flatnonzero(basis.eigenvalues > 0.0)
+        ])
+        report = ValidationReport(
+            weight_residual=weight_residual,
+            diagonal_residual=diagonal_residual,
+            psd_residual=max(0.0, -basis.smallest_raw_eigenvalue),
+            drift_residuals=readonly(residuals),
+            trajectory_trace_preserving=bool(np.all(residuals <= DRIFT_CONSTRAINT_TOL)),
+        )
+        vdv = np.einsum("nba,nbc->ac", ops.conj(), ops)
+        # The dataclass is frozen, so its fields are set through __dict__.
+        self.__dict__.update(hamiltonian=h, lindblad_ops=ops, weights=w, covariance=c,
+                             noise_basis=basis, report=report,
+                             drift=readonly(-1j * h - 0.5 * vdv))
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.shape[0]
+
+    @property
+    def noise_count(self) -> int:
+        return self.lindblad_ops.shape[0]
+
+
 def validate_model(model: LindbladModel) -> ValidationReport:
-    """Report the constraint residuals of an already-constructed model.
+    """The constraint residuals of a model, computed once at construction.
 
     The hard invariants are enforced at construction, so their residuals
     here are diagnostics. The soft check is whether the weighted Hermitian
@@ -193,39 +218,17 @@ def validate_model(model: LindbladModel) -> ValidationReport:
     the covariance; when they do, single trajectories preserve the trace
     exactly, not just in the ensemble mean.
     """
-    w = model.weights
-    basis = model.noise_basis
-    weight_residual = abs(float(np.sum(w * w)) - 1.0)
-    diagonal_residual = float(np.max(np.abs(np.diag(model.covariance) - 1.0)))
-    psd_residual = max(0.0, -basis.smallest_raw_eigenvalue)
-
-    # sum_n d_n (v_n + v_n^dagger) O[n, r] must vanish for every eigenvector
-    # with a positive eigenvalue; null directions never receive noise.
-    herm_parts = model.lindblad_ops + adjoint(model.lindblad_ops)
-    active = np.flatnonzero(basis.eigenvalues > 0.0)
-    residuals = np.array([
-        frobenius(np.einsum("n,n,nab->ab", w, basis.orthogonal[:, r], herm_parts))
-        for r in active
-    ])
-    preserving = bool(np.all(residuals <= DRIFT_CONSTRAINT_TOL)) if residuals.size else True
-    return ValidationReport(
-        weight_residual=weight_residual,
-        diagonal_residual=diagonal_residual,
-        psd_residual=psd_residual,
-        drift_residuals=residuals,
-        trajectory_trace_preserving=preserving,
-    )
+    return model.report
 
 
 def drift_operator(model: LindbladModel) -> np.ndarray:
     """The deterministic drift U = -iH - (1/2) sum_n v_n^dagger v_n.
 
     Its Hermitian part is fixed by trace preservation of the mean evolution:
-    U + U^dagger = -sum_n v_n^dagger v_n.
+    U + U^dagger = -sum_n v_n^dagger v_n. Built once at construction and
+    read-only.
     """
-    v = model.lindblad_ops
-    vdv = np.einsum("nba,nbc->ac", v.conj(), v)
-    return -1j * model.hamiltonian - 0.5 * vdv
+    return model.drift
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -258,6 +261,12 @@ class OdeTrajectory:
     states: np.ndarray  # (T, d, d)
 
 
+def require_positive(name: str, **values: float) -> None:
+    """Raise ValueError unless every value is finite and positive, 0 < x < inf."""
+    if not all(0.0 < x < np.inf for x in values.values()):
+        raise ValueError(f"{name}: {' and '.join(values)} must be positive")
+
+
 def time_grid(t_final: float, dt: float, record_every: int, name: str):
     """Step count and recorded times of a run.
 
@@ -266,8 +275,7 @@ def time_grid(t_final: float, dt: float, record_every: int, name: str):
     and the state after every record_every-th step, at the times 0,
     record_every, ..., n_steps times dt.
     """
-    if t_final <= 0.0 or dt <= 0.0:
-        raise ValueError(f"{name}: t_final and dt must be positive")
+    require_positive(name, t_final=t_final, dt=dt)
     n = round(t_final / dt)
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(

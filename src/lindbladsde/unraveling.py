@@ -33,6 +33,7 @@ from .lindblad import (
     NumericalError,
     check_step_size,
     drift_operator,
+    require_positive,
     time_grid,
 )
 from .operators import (
@@ -61,8 +62,7 @@ def sample_increments(basis: NoiseBasis, dt: float, rng: np.random.Generator,
     stream layout does not depend on the covariance rank. The result is a
     (count, N) batch consuming the stream in row order.
     """
-    if dt <= 0.0:
-        raise ValueError("sample_increments: dt must be positive")
+    require_positive("sample_increments", dt=dt)
     return _correlate(rng.standard_normal((count, basis.noise_count)), basis, dt)
 
 
@@ -129,8 +129,7 @@ def sde_step(model: LindbladModel, rho: np.ndarray, dt: float,
             f"sde_step: increment shape {dw.shape} does not match state batch "
             f"{rho.shape[:-2]} with {n} noises"
         )
-    if dt <= 0.0:
-        raise ValueError("sde_step: dt must be positive")
+    require_positive("sde_step", dt=dt)
     out = _euler_update(model, rho, dt, dw)
     if not np.all(np.isfinite(out)):
         raise NumericalError("sde_step: non-finite output")

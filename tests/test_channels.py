@@ -193,6 +193,12 @@ class TestInfinitesimalChannel:
         with pytest.raises(ValueError, match="positive"):
             build_infinitesimal_kraus(model, 0.0, np.zeros(1))
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        model = preset_model("dephasing")
+        with pytest.raises(ValueError, match="build_infinitesimal_kraus: dt must be positive"):
+            build_infinitesimal_kraus(model, dt, np.zeros(1))
+
 
 class TestAllPresetsChoi:
     @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -30,12 +30,12 @@ def write_model(tmp_path, name="model.json", **overrides):
 class TestParseModel:
     def test_preset_names_resolve(self, capsys):
         for name in PRESET_NAMES:
-            model, report = parse_model(name)
+            model = parse_model(name)
             assert model.dim == 2
-            assert report.summary() in capsys.readouterr().err
+            assert model.report.summary() in capsys.readouterr().err
 
     def test_file_loads_with_defaults(self, tmp_path, capsys):
-        model, _ = parse_model(write_model(tmp_path))
+        model = parse_model(write_model(tmp_path))
         assert model.noise_count == 1
         assert np.array_equal(model.weights, [1.0])
         assert np.array_equal(model.covariance, np.eye(1))
@@ -152,6 +152,20 @@ class TestUsageErrors:
                 "--out", str(out), flag, value]
         assert main(argv) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["ode", "--t-final", "inf", "--dt", "0.01"],
+        ["ode", "--t-final", "nan", "--dt", "0.01"],
+        ["sde", "--t-final", "0.1", "--dt", "nan"],
+        ["choi", "--dt", "nan"],
+    ], ids=["ode-t-final-inf", "ode-t-final-nan", "sde-dt-nan", "choi-dt-nan"])
+    def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.csv"
+        assert main([*argv, "--model", "dephasing", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be finite and positive" in err and "model report" not in err
         assert not out.exists()
 
 

@@ -1,15 +1,25 @@
-"""CSV bytes pinned across commits.
+"""CSV bytes and model reports pinned across commits.
 
 The run-to-run identity tests only compare two runs of the same code; these
 digests were recorded once and must be reproduced by every later version of
 the package, so a refactor that changes a rounding anywhere on the path
-from model to CSV fails here. Floating-point results may differ between
-numpy releases, so the digests are asserted only under the numpy version
-that recorded them.
+from model to CSV, or in the report `check` prints, fails here.
+Floating-point results may differ between numpy releases, so the digests
+are asserted only under the numpy version that recorded them.
+
+Run as a script, ``PYTHONPATH=src python tests/test_golden_csv.py`` prints
+one ``name sha256`` line per pinned run for the current tree and numpy and
+writes no file. Re-recording is a manual edit of the tables below, made
+only by a change whose stated purpose alters the bits.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,8 +82,8 @@ RUNS = {
     "ode-dephasing": ["ode", "--model", "dephasing", "--t-final", "0.5",
                       "--dt", "0.01", "--record-every", "5"],
     "choi-amplitude-damping": ["choi", "--model", "amplitude-damping", "--dt", "0.01"],
-    "sde-qutrit-rank2-file": ["sde", "--model", "{qutrit}", *SDE],
-    "ode-qudit8-file": ["ode", "--model", "{qudit8}", "--t-final", "0.2",
+    "sde-qutrit-rank2-file": ["sde", "--model", "qutrit.json", *SDE],
+    "ode-qudit8-file": ["ode", "--model", "qudit8.json", "--t-final", "0.2",
                         "--dt", "0.01", "--record-every", "2"],
 }
 
@@ -93,20 +103,69 @@ GOLDEN_SHA256 = {
 }
 
 
-def csv_digest(tmp_path, name: str) -> str:
-    argv = RUNS[name]
+# `check` stdout followed by its stderr, which holds the model report.
+CHECK_RUNS = {
+    "check-dephasing": ["check", "--model", "dephasing"],
+    "check-amplitude-damping": ["check", "--model", "amplitude-damping"],
+    "check-stochastic-unitary-larmor": ["check", "--model", "stochastic-unitary-larmor"],
+    "check-two-noise-correlated": ["check", "--model", "two-noise-correlated"],
+    "check-qudit8-file": ["check", "--model", "qudit8.json"],
+}
+
+CHECK_SHA256 = {
+    "check-dephasing":
+        "43d42c99255d974bb55265ebb8c5ba1171d01391760f7839be97fb29df721870",
+    "check-amplitude-damping":
+        "b2e7aec4c90f76e21bff938746f275299dc049a3a532b51c88967480056a6b49",
+    "check-stochastic-unitary-larmor":
+        "27bb21d2ffecb66eb2fe464c85695f3344a01ae7e14512edce39498170a8cfa8",
+    "check-two-noise-correlated":
+        "bb1392888778bd89cfed3d5466affef6944d780036bbf3f9467a3874722741fd",
+    "check-qudit8-file":
+        "954d2a9663e1142ab91d4ceccdd5a138ace2c0b68fcac667b4b7e8f786a7ff86",
+}
+
+
+def run_digest(argv: list[str]) -> str:
+    """SHA-256 of one pinned run made in the current directory.
+
+    The model files are written there first, so a report names them by the
+    same relative path wherever the run is made. A CSV run is hashed by the
+    file it writes, a `check` run by its stdout followed by its stderr.
+    """
     for stem, model in (("qutrit", QUTRIT_MODEL), ("qudit8", QUDIT8_MODEL)):
-        model_path = tmp_path / f"{stem}.json"
-        model_path.write_text(json.dumps(model))
-        argv = [arg.replace(f"{{{stem}}}", str(model_path)) for arg in argv]
-    out = tmp_path / f"{name}.csv"
-    assert main([*argv, "--out", str(out)]) == EXIT_OK
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+        Path(f"{stem}.json").write_text(json.dumps(model))
+    if argv[0] != "check":
+        argv = [*argv, "--out", "run.csv"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == EXIT_OK
+    if argv[0] == "check":
+        return hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
+    return hashlib.sha256(Path("run.csv").read_bytes()).hexdigest()
 
 
-@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
-                    reason=f"digests were recorded under numpy {RECORDED_NUMPY}, "
-                           f"not {np.__version__}")
+recorded_numpy = pytest.mark.skipif(
+    np.__version__ != RECORDED_NUMPY,
+    reason=f"digests were recorded under numpy {RECORDED_NUMPY}, not {np.__version__}")
+
+
+@recorded_numpy
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_csv_bytes_match_recorded_digest(tmp_path, name):
-    assert csv_digest(tmp_path, name) == GOLDEN_SHA256[name]
+def test_csv_bytes_match_recorded_digest(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(RUNS[name]) == GOLDEN_SHA256[name]
+
+
+@recorded_numpy
+@pytest.mark.parametrize("name", sorted(CHECK_RUNS))
+def test_check_report_matches_recorded_digest(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(CHECK_RUNS[name]) == CHECK_SHA256[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        for name, argv in sorted({**RUNS, **CHECK_RUNS}.items()):
+            print(name, run_digest(argv))

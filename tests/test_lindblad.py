@@ -22,7 +22,12 @@ from lindbladsde.operators import (
     adjoint,
     frobenius,
 )
-from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
+from lindbladsde.presets import (
+    PRESET_NAMES,
+    TRACE_PRESERVING_PRESETS,
+    preset_model,
+    uniform_superposition,
+)
 from lindbladsde.unraveling import run_ensemble, run_trajectory
 
 
@@ -115,6 +120,35 @@ class TestModelConstruction:
         run_trajectory(model, uniform_superposition(2), 0.01, 1e-3, seed=0)
         run_ensemble(model, uniform_superposition(2), 0.01, 1e-3, 8, seed=0)
 
+    def test_covariance_checked_once(self, monkeypatch):
+        calls = []
+        original = lindblad.check_real_symmetric
+
+        def counting(c):
+            calls.append(c)
+            return original(c)
+
+        monkeypatch.setattr(lindblad, "check_real_symmetric", counting)
+        random_model(philox(34), 3, 4, rank=2)
+        assert len(calls) == 1
+
+    def test_report_and_drift_are_computed_once(self, monkeypatch):
+        # The report and U are derived at construction; reading them again
+        # does no arithmetic.
+        model = random_model(philox(35), 3, 2)
+        assert drift_operator(model) is drift_operator(model)
+        assert not drift_operator(model).flags.writeable
+        assert not model.report.drift_residuals.flags.writeable
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derived quantity recomputed after construction")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        monkeypatch.setattr(lindblad, "frobenius", refuse)
+        monkeypatch.setattr(lindblad, "adjoint", refuse)
+        assert validate_model(model) is model.report
+        assert drift_operator(model) is model.drift
+
 
 class TestValidateModel:
     def test_dephasing_preserves_trajectory_trace(self):
@@ -150,6 +184,13 @@ class TestValidateModel:
             covariance=np.ones((2, 2)),
         )
         assert not validate_model(skewed).trajectory_trace_preserving
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_verdicts(self, name):
+        # TRACE_PRESERVING_PRESETS is written by hand from the operators, so
+        # it is an oracle independent of the residual computation.
+        report = validate_model(preset_model(name))
+        assert report.trajectory_trace_preserving == (name in TRACE_PRESERVING_PRESETS)
 
     def test_summary_mentions_verdict(self):
         text = validate_model(preset_model("dephasing")).summary()
@@ -240,6 +281,11 @@ class TestTimeGrid:
     def test_rejects_dt_that_does_not_divide_t_final(self):
         with pytest.raises(ValueError, match=r"run: dt=0\.0003 does not divide t_final=1\.0"):
             time_grid(1.0, 3e-4, 1, "run")
+
+    @pytest.mark.parametrize("t_final, dt", [(np.inf, 0.01), (1.0, np.nan)])
+    def test_rejects_non_finite_values(self, t_final, dt):
+        with pytest.raises(ValueError, match="x: t_final and dt must be positive"):
+            time_grid(t_final, dt, 1, "x")
 
     def test_rejects_record_every_that_does_not_divide_the_step_count(self):
         with pytest.raises(ValueError, match="run: record_every=7 must divide the step count 100"):

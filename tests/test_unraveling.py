@@ -107,6 +107,14 @@ class TestSampleIncrements:
         with pytest.raises(ValueError, match="positive"):
             sample_increments(basis, 0.0, trajectory_rng(0, 0), count=1)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        basis = diagonalize_covariance(np.eye(1))
+        with pytest.raises(ValueError, match="sample_increments: dt must be positive"):
+            sample_increments(basis, dt, trajectory_rng(0, 0), count=1)
+        with pytest.raises(ValueError, match="sde_step: dt must be positive"):
+            sde_step(preset_model("dephasing"), uniform_superposition(2), dt, np.zeros(1))
+
 
 class TestSdeStep:
     def test_static_model_leaves_state_alone(self):
