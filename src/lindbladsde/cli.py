@@ -39,9 +39,10 @@ from .lindblad import (
     time_grid,
     validate_model,
 )
-from .operators import frobenius, matrix_from_literal, real_matrix_from_literal
+from .operators import (frobenius, matrix_from_literal, min_eigenvalues, purities,
+                        real_matrix_from_literal)
 from .presets import PRESET_NAMES, preset_model, uniform_superposition
-from .unraveling import _min_eigenvalues, _purities, run_ensemble
+from .unraveling import STEPPERS, run_ensemble
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,10 +51,6 @@ EXIT_NUMERICAL = 3
 EXIT_DERIVATION = 4
 
 DERIVE_TOL = 1e-10
-
-
-class ModelFileError(ValueError):
-    """The model file could not be parsed or violates a hard invariant."""
 
 
 class _UsageError(Exception):
@@ -65,7 +62,7 @@ def parse_model(path_or_preset: str) -> LindbladModel:
 
     An existing file wins over a preset of the same name. The model's
     validation report goes to stderr; hard invariant violations raise
-    ModelFileError, the soft trajectory-trace check is reported only.
+    ValueError, the soft trajectory-trace check is reported only.
     """
     path = Path(path_or_preset)
     if path.is_file():
@@ -73,7 +70,7 @@ def parse_model(path_or_preset: str) -> LindbladModel:
     elif path_or_preset in PRESET_NAMES:
         model = preset_model(path_or_preset)
     else:
-        raise ModelFileError(
+        raise ValueError(
             f"model file not found: {path_or_preset!r} "
             f"(presets: {', '.join(PRESET_NAMES)})"
         )
@@ -86,27 +83,27 @@ def _model_from_file(path: Path) -> LindbladModel:
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ModelFileError(
+        raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(payload, dict):
-        raise ModelFileError(f"{path}: expected a JSON object at the top level")
+        raise ValueError(f"{path}: expected a JSON object at the top level")
 
     def take(key, required=True):
         if key not in payload:
             if required:
-                raise ModelFileError(f"{path}: missing required field {key!r}")
+                raise ValueError(f"{path}: missing required field {key!r}")
             return None
         return payload[key]
 
     known = {"dim", "hamiltonian", "lindblad_ops", "weights", "covariance"}
     unknown = set(payload) - known
     if unknown:
-        raise ModelFileError(f"{path}: unknown fields {sorted(unknown)}")
+        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
 
     dim = take("dim")
     if not isinstance(dim, int) or dim < 1:
-        raise ModelFileError(f"{path}: dim must be a positive integer")
+        raise ValueError(f"{path}: dim must be a positive integer")
 
     try:
         hamiltonian = matrix_from_literal(take("hamiltonian"), name="hamiltonian")
@@ -139,7 +136,7 @@ def _model_from_file(path: Path) -> LindbladModel:
             covariance=covariance,
         )
     except (ValueError, TypeError) as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return model
 
 
@@ -161,7 +158,7 @@ def _states_csv(times, states, stderr=None) -> str:
     entries = states.reshape(len(times), -1)
     parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(times), -1)
     columns = [times, parts, np.trace(states, axis1=-2, axis2=-1).real,
-               _min_eigenvalues(states), _purities(states)]
+               min_eigenvalues(states), purities(states)]
     if stderr is not None:
         header.append("stderr")
         columns.append(stderr)
@@ -228,12 +225,12 @@ def cmd_derive(args) -> int:
     ])
     noise_residual = frobenius(result.noise_coefficients - expected_noise)
 
-    np.set_printoptions(precision=12, suppress=False, linewidth=120)
-    print("drift coefficient (dt):")
-    print(result.drift_coefficient)
-    for n, coeff in enumerate(result.noise_coefficients):
-        print(f"noise coefficient (dW^{n}):")
-        print(coeff)
+    with np.printoptions(precision=12, suppress=False, linewidth=120):
+        print("drift coefficient (dt):")
+        print(result.drift_coefficient)
+        for n, coeff in enumerate(result.noise_coefficients):
+            print(f"noise coefficient (dW^{n}):")
+            print(coeff)
     print(f"drift residual vs master-equation generator: {drift_residual:.3e}")
     print(f"noise residual vs d_n (v_n rho + rho v_n^dagger): {noise_residual:.3e}")
     print(f"drift trace residual: {result.trace_residual:.3e}")
@@ -319,8 +316,8 @@ def _build_parser() -> _Parser:
     p_sde.add_argument("--trajectories", type=_at_least(1), default=1000)
     p_sde.add_argument("--seed", type=_at_least(0), default=0)
     p_sde.add_argument("--record-every", type=_at_least(1), default=1)
-    p_sde.add_argument("--stepper", choices=["euler", "exact-unitary"],
-                       default="euler")
+    steppers = [name.replace("_", "-") for name in STEPPERS]
+    p_sde.add_argument("--stepper", choices=steppers, default=steppers[0])
     p_sde.add_argument("--out", required=True)
     p_sde.set_defaults(func=cmd_sde)
 
@@ -339,20 +336,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ModelFileError as exc:
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return EXIT_MODEL
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

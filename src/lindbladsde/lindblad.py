@@ -276,7 +276,10 @@ def time_grid(t_final: float, dt: float, record_every: int, name: str):
     record_every, ..., n_steps times dt.
     """
     require_positive(name, t_final=t_final, dt=dt)
-    n = round(t_final / dt)
+    steps = t_final / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"{name}: t_final / dt = {steps} is not a finite step count")
+    n = round(steps)
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(
             f"{name}: dt={dt!r} does not divide t_final={t_final!r}"

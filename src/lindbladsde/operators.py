@@ -78,6 +78,22 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL,
     return m
 
 
+def min_eigenvalues(states: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of stacked Hermitian matrices, closed form for d=2."""
+    d = states.shape[-1]
+    if d == 2:
+        a = states[..., 0, 0].real
+        c = states[..., 1, 1].real
+        r = np.sqrt(0.25 * (a - c) ** 2 + np.abs(states[..., 0, 1]) ** 2)
+        return 0.5 * (a + c) - r
+    return np.linalg.eigvalsh(states)[..., 0]
+
+
+def purities(states: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of stacked Hermitian matrices."""
+    return np.einsum("...ab,...ba->...", states, states).real
+
+
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate the state invariants: Hermitian, unit trace, PSD within tolerance."""
     rho = check_hermitian(rho, name="density matrix")

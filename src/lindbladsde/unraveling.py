@@ -22,6 +22,7 @@ worker count.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ from .operators import (
     check_density_matrix,
     check_hermitian,
     hermitian_part,
+    min_eigenvalues,
+    purities,
 )
 
 STEPPERS = ("euler", "exact_unitary")
@@ -80,12 +83,35 @@ def _correlate(xi: np.ndarray, basis: NoiseBasis, dt: float) -> np.ndarray:
     return xi @ basis.orthogonal.T
 
 
+@functools.cache
+def _key_sequence():
+    """Seed-sequence type that hands Philox a fixed 128-bit key as its state.
+
+    Philox(key=...) first builds a seed sequence from OS entropy and then
+    discards it; Philox(_key_sequence()(key)) takes the key as the state its
+    seed sequence generates, so the stream is the same without that
+    entropy. The type is built on first use because subclassing numpy's
+    ISeedSequence loads numpy.random, which importing this module does not.
+    """
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySequence
+
+
 def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
-    """Counter-based generator for one trajectory, keyed by (seed, index)."""
+    """Counter-based generator for one trajectory, keyed by (seed, index).
+
+    The stream is that of Generator(Philox(key=[seed, traj_index])).
+    """
     if seed < 0 or traj_index < 0:
         raise ValueError("seed and trajectory index must be nonnegative")
     key = np.array([seed, traj_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
 def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
@@ -214,21 +240,6 @@ class EnsembleDiagnostics:
     min_eigenvalue: float
 
 
-def _min_eigenvalues(states: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of stacked Hermitian matrices, closed form for d=2."""
-    d = states.shape[-1]
-    if d == 2:
-        a = states[..., 0, 0].real
-        c = states[..., 1, 1].real
-        r = np.sqrt(0.25 * (a - c) ** 2 + np.abs(states[..., 0, 1]) ** 2)
-        return 0.5 * (a + c) - r
-    return np.linalg.eigvalsh(states)[..., 0]
-
-
-def _purities(states: np.ndarray) -> np.ndarray:
-    return np.einsum("...ab,...ba->...", states, states).real
-
-
 def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
                            basis: NoiseBasis, dt: float) -> np.ndarray:
     """Increments for trajectories [start, start+count), shape (count, n_steps, N).
@@ -247,31 +258,28 @@ def _recorded_sums(rho: np.ndarray):
     """Sum, summed squared Frobenius norm and smallest eigenvalue of a chunk."""
     return (rho.sum(axis=0),
             float(np.einsum("kab,kab->", rho, rho.conj()).real),
-            float(_min_eigenvalues(rho).min()))
+            float(min_eigenvalues(rho).min()))
 
 
-def _run_chunk(model, rho0, dt, n_steps, record_every, k_op, seed, start,
-               count, stepper):
+def _run_chunk(step, rho0, basis, dt, n_steps, record_every, seed, start,
+               count):
     """Evolve trajectories [start, start+count) together: the one time loop.
 
-    Returns the recorded state sums (T, d, d), the summed squared norms
-    (T,), the trace extremes over every step and the smallest recorded
-    eigenvalue.
+    step(rho, dw) is the run's update from _prepare, applied to the whole
+    chunk with the (count, N) increments of one step; basis and dt give the
+    increments. Returns the recorded state sums (T, d, d), the summed
+    squared norms (T,), the trace extremes over every step and the smallest
+    recorded eigenvalue.
     """
-    d = model.dim
-    rho = np.broadcast_to(rho0, (count, d, d)).astype(complex)
-    dw = _trajectory_increments(seed, start, count, n_steps,
-                                model.noise_basis, dt)
+    rho = np.broadcast_to(rho0, (count, *rho0.shape)).astype(complex)
+    dw = _trajectory_increments(seed, start, count, n_steps, basis, dt)
 
     recorded = [_recorded_sums(rho)]
     traces = np.einsum("kaa->k", rho).real
     trace_min = float(traces.min())
     trace_max = float(traces.max())
     for k in range(n_steps):
-        if stepper == "euler":
-            rho = _euler_update(model, rho, dt, dw[:, k, :])
-        else:
-            rho = _unitary_update(model.hamiltonian, k_op, rho, dt, dw[:, k, 0])
+        rho = step(rho, dw[:, k, :])
         finite = np.all(np.isfinite(rho), axis=(-1, -2))
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
@@ -288,17 +296,27 @@ def _run_chunk(model, rho0, dt, n_steps, record_every, k_op, seed, start,
 
 
 def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
-    """Checks and time grid shared by both runners.
+    """Checks, time grid and step update shared by both runners.
 
-    Returns (rho0, n_steps, record times, K or None).
+    The one place a stepper name becomes an update: step(rho, dw) advances
+    stacked states rho (..., d, d) by dt with increments dw (..., N), using
+    the unchecked kernel of sde_step or stochastic_unitary_step. Returns
+    (rho0, n_steps, record times, step).
     """
     rho0 = np.array(check_density_matrix(rho0), dtype=complex)
     if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
     check_step_size(model, dt)
     n_steps, times = time_grid(t_final, dt, record_every, name)
-    k_op = unitary_noise_operator(model) if stepper == "exact_unitary" else None
-    return rho0, n_steps, times, k_op
+    if stepper == "euler":
+        def step(rho, dw):
+            return _euler_update(model, rho, dt, dw)
+    else:
+        h, k = model.hamiltonian, unitary_noise_operator(model)
+
+        def step(rho, dw):
+            return _unitary_update(h, k, rho, dt, dw[..., 0])
+    return rho0, n_steps, times, step
 
 
 def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
@@ -310,17 +328,18 @@ def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
     is bit-identical to trajectory ``traj_index`` of an ensemble run with
     the same seed.
     """
-    rho0, n_steps, times, k_op = _prepare(
+    rho0, n_steps, times, step = _prepare(
         model, rho0, t_final, dt, record_every, stepper, "run_trajectory")
     # a sum over one trajectory is that trajectory
     states, _, trace_min, trace_max, min_eig = _run_chunk(
-        model, rho0, dt, n_steps, record_every, k_op, seed, traj_index, 1, stepper)
+        step, rho0, model.noise_basis, dt, n_steps, record_every, seed,
+        traj_index, 1)
     return Trajectory(
         times=times,
         states=states,
         trace_extremes=(trace_min, trace_max),
         min_eigenvalue_seen=min_eig,
-        purity_series=_purities(states),
+        purity_series=purities(states),
     )
 
 
@@ -329,14 +348,16 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
                  stepper: str = "euler", workers: int = 1):
     """Monte Carlo ensemble of independent trajectories.
 
-    Returns (EnsembleStats, EnsembleDiagnostics). Trajectories are evolved
+    Returns (EnsembleStats, EnsembleDiagnostics). The stepper is resolved
+    once into one update that every chunk applies. Trajectories are evolved
     in fixed-size chunks, vectorized over the chunk; chunks may run on a
-    thread pool, and partial sums are reduced in chunk order, so the result
-    is identical for a given (seed, n_traj, dt, model) whatever the worker
-    count. The CLI runs chunks serially: on a 2-vCPU machine the pool with
-    workers=2 measured slower than serial chunks on every preset (larger
-    core counts were not measured). The pool is kept only because the
-    benchmark's own tests pin it, and goes with the next benchmark change.
+    thread pool, and each chunk's sums and extremes are reduced in chunk
+    order, so the result is identical for a given (seed, n_traj, dt, model)
+    whatever the worker count. The CLI runs chunks serially: on a 2-vCPU
+    machine the pool with workers=2 measured slower than serial chunks on
+    every preset (larger core counts were not measured). The pool is kept
+    only because the benchmark's own tests pin it, and goes with the next
+    benchmark change.
     Trace extremes are tracked at every step, eigenvalue and purity
     diagnostics at the recorded samples.
 
@@ -356,16 +377,16 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    rho0, n_steps, times, k_op = _prepare(
+    rho0, n_steps, times, step = _prepare(
         model, rho0, t_final, dt, record_every, stepper, "run_ensemble")
 
-    starts = list(range(0, n_traj, _CHUNK_TRAJECTORIES))
-    jobs = [(s, min(_CHUNK_TRAJECTORIES, n_traj - s)) for s in starts]
+    jobs = [(s, min(_CHUNK_TRAJECTORIES, n_traj - s))
+            for s in range(0, n_traj, _CHUNK_TRAJECTORIES)]
 
     def work(job):
         start, count = job
-        return _run_chunk(model, rho0, dt, n_steps, record_every, k_op, seed,
-                          start, count, stepper)
+        return _run_chunk(step, rho0, model.noise_basis, dt, n_steps,
+                          record_every, seed, start, count)
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -373,27 +394,19 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     else:
         partials = [work(job) for job in jobs]
 
-    n_rec = len(times)
-    state_sum = np.zeros((n_rec, model.dim, model.dim), complex)
-    sq_sum = np.zeros(n_rec)
-    trace_min, trace_max, min_eig = np.inf, -np.inf, np.inf
-    for part_states, part_sq, tmin, tmax, meig in partials:
-        state_sum += part_states
-        sq_sum += part_sq
-        trace_min = min(trace_min, tmin)
-        trace_max = max(trace_max, tmax)
-        min_eig = min(min_eig, meig)
-
-    mean = state_sum / n_traj
+    # reduced in chunk order whatever the worker count; sum() starts from
+    # the integer 0, which rounds like adding into zeros
+    state_sums, sq_sums, trace_mins, trace_maxs, min_eigs = zip(*partials)
+    mean = sum(state_sums) / n_traj
     mean_sq = np.einsum("tab,tab->t", mean, mean.conj()).real
     if n_traj > 1:
-        variance = np.maximum(sq_sum - n_traj * mean_sq, 0.0) / (n_traj - 1)
+        variance = np.maximum(sum(sq_sums) - n_traj * mean_sq, 0.0) / (n_traj - 1)
         stderr = np.sqrt(variance / n_traj)
     else:
-        stderr = np.zeros(n_rec)
+        stderr = np.zeros(len(times))
     stats = EnsembleStats(times=times, mean_state=mean, stderr=stderr,
                           trajectory_count=n_traj, seed=seed)
-    diagnostics = EnsembleDiagnostics(trace_min=float(trace_min),
-                                      trace_max=float(trace_max),
-                                      min_eigenvalue=float(min_eig))
+    diagnostics = EnsembleDiagnostics(trace_min=min(trace_mins),
+                                      trace_max=max(trace_maxs),
+                                      min_eigenvalue=min(min_eigs))
     return stats, diagnostics

@@ -168,6 +168,24 @@ class TestUsageErrors:
         assert "must be finite and positive" in err and "model report" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ode", "sde"])
+    def test_overflowing_step_count_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "never.csv"
+        assert main([command, "--model", "dephasing", "--t-final", "1e300",
+                     "--dt", "1e-10", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: {command}: t_final / dt = inf" in err
+        assert "model report" not in err
+        assert not out.exists()
+
+    def test_unknown_stepper_lists_the_steppers(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["sde", "--model", "dephasing", "--t-final", "0.02", "--dt", "1e-3",
+                     "--stepper", "milstein", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid choice: 'milstein'" in err and "'euler', 'exact-unitary'" in err
+        assert not out.exists()
+
 
 class TestOdeCommand:
     def test_writes_expected_schema(self, tmp_path):
@@ -262,6 +280,11 @@ class TestDeriveCommand:
         assert main(["derive", "--model", name]) == EXIT_OK
         out = capsys.readouterr().out
         assert "drift residual" in out
+
+    def test_leaves_print_options_alone(self, capsys):
+        before = np.get_printoptions()
+        assert main(["derive", "--model", "two-noise-correlated"]) == EXIT_OK
+        assert np.get_printoptions() == before
 
     def test_mismatch_exits_4(self, monkeypatch, capsys):
         # the identity always holds for valid models, so fake a generator

@@ -287,6 +287,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="x: t_final and dt must be positive"):
             time_grid(t_final, dt, 1, "x")
 
+    def test_rejects_overflowing_step_count(self):
+        # both values are finite, their ratio is not
+        with pytest.raises(ValueError, match="x: t_final / dt = inf is not a finite step count"):
+            time_grid(1e300, 1e-10, 1, "x")
+
     def test_rejects_record_every_that_does_not_divide_the_step_count(self):
         with pytest.raises(ValueError, match="run: record_every=7 must divide the step count 100"):
             time_grid(1.0, 1e-2, 7, "run")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox, random_complex
+from conftest import philox, random_complex, random_hermitian
 from lindbladsde.operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -15,6 +15,8 @@ from lindbladsde.operators import (
     check_hermitian,
     commutator,
     matrix_from_literal,
+    min_eigenvalues,
+    purities,
     real_matrix_from_literal,
 )
 
@@ -118,6 +120,19 @@ class TestStructureChecks:
         assert np.array_equal(SIGMA_MINUS @ ground, np.zeros(2))
         assert np.array_equal(SIGMA_MINUS @ excited, ground)
         assert np.array_equal(SIGMA_PLUS, SIGMA_MINUS.conj().T)
+
+
+class TestStateStatistics:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_match_the_spectrum(self, dim):
+        # d = 2 takes the closed form; Hermitian stacks with negative
+        # eigenvalues exercise it away from density matrices
+        rng = philox(dim)
+        states = np.array([random_hermitian(rng, dim) for _ in range(6)])
+        spectrum = np.linalg.eigvalsh(states)
+        assert min_eigenvalues(states).shape == (6,)
+        assert np.allclose(min_eigenvalues(states), spectrum[:, 0], atol=1e-13)
+        assert np.allclose(purities(states), (spectrum ** 2).sum(axis=1), atol=1e-13)
 
 
 class TestLiterals:

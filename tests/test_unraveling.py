@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,7 @@ from lindbladsde.operators import (
 from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model, uniform_superposition
 from lindbladsde.unraveling import (
     _euler_update,
+    _prepare,
     _trajectory_increments,
     run_ensemble,
     run_trajectory,
@@ -223,6 +229,26 @@ class TestKernelBits:
         dw = rng.standard_normal(batch + (3,)) * 0.03
         assert np.array_equal(_euler_update(model, rho, 1e-3, dw),
                               _stacked_euler_reference(model, rho, 1e-3, dw))
+
+    @pytest.mark.parametrize("name, stepper", [
+        ("two-noise-correlated", "euler"),
+        ("stochastic-unitary-larmor", "euler"),
+        ("stochastic-unitary-larmor", "exact_unitary"),
+    ])
+    def test_run_step_is_the_public_step(self, name, stepper):
+        # the runners' update is the checked public step's kernel, called
+        # with the same arguments
+        model = preset_model(name)
+        rng = philox(42)
+        rho = np.array([random_density(rng, 2) for _ in range(5)])
+        dw = rng.standard_normal((5, model.noise_count)) * 0.03
+        *_, step = _prepare(model, uniform_superposition(2), 0.01, 1e-3, 1, stepper, "run")
+        if stepper == "euler":
+            expected = sde_step(model, rho, 1e-3, dw)
+        else:
+            expected = stochastic_unitary_step(model.hamiltonian, unitary_noise_operator(model),
+                                               rho, 1e-3, dw[:, 0])
+        assert np.array_equal(step(rho, dw), expected)
 
     @pytest.mark.parametrize("model", [
         preset_model("stochastic-unitary-larmor"),
@@ -534,6 +560,28 @@ class TestTrajectoryRng:
         a = trajectory_rng(5, 3).standard_normal(8)
         b = trajectory_rng(5, 3).standard_normal(8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63])
+    @pytest.mark.parametrize("index", [0, 1, 4095, 10**12])
+    def test_stream_is_philox_keyed_by_seed_and_index(self, seed, index):
+        key = np.array([seed, index], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(257)
+        assert np.array_equal(trajectory_rng(seed, index).standard_normal(257), expected)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random on first use; importing the package must
+        # not load it, since a command that draws no noise never needs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import lindbladsde.cli; print(before, 'numpy.random' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        before, after = result.stdout.split()
+        if before == "True":
+            pytest.skip("this numpy loads numpy.random on import")
+        assert after == "False"
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="nonnegative"):
