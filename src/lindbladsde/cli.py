@@ -92,7 +92,7 @@ def _model_from_file(path: Path) -> LindbladModel:
     def take(key, required=True):
         if key not in payload:
             if required:
-                raise ValueError(f"{path}: missing required field {key!r}")
+                raise ValueError(f"missing required field {key!r}")
             return None
         return payload[key]
 
@@ -101,11 +101,11 @@ def _model_from_file(path: Path) -> LindbladModel:
     if unknown:
         raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
 
-    dim = take("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"{path}: dim must be a positive integer")
-
+    # the except clause below prefixes each message with the path
     try:
+        dim = take("dim")
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError("dim must be a positive integer")
         hamiltonian = matrix_from_literal(take("hamiltonian"), name="hamiltonian")
         raw_ops = take("lindblad_ops")
         if not isinstance(raw_ops, list) or not raw_ops:
@@ -194,8 +194,8 @@ def cmd_ode(args) -> int:
 def cmd_sde(args) -> int:
     _check_grid(args)
     model = parse_model(args.model)
-    # Chunks run in order on this thread: on a 2-vCPU machine a two-thread
-    # pool measured slower than serial chunks for every preset.
+    # run_ensemble forks one worker process per usable CPU, up to the chunk
+    # count; the CSV bytes do not depend on how many.
     stats, diagnostics = run_ensemble(
         model, uniform_superposition(model.dim), args.t_final, args.dt,
         args.trajectories, args.seed, args.record_every,
@@ -261,12 +261,14 @@ def _check_grid(args) -> None:
         raise _UsageError(str(exc)) from exc
 
 
-def _at_least(low: int):
-    """argparse type for an integer flag with a lower bound."""
+def _at_least(low: int, below: int | None = None):
+    """argparse type for an integer flag with a lower and an optional upper bound."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
     return integer
 
@@ -314,7 +316,8 @@ def _build_parser() -> _Parser:
     p_sde.add_argument("--t-final", type=_finite_positive, required=True)
     p_sde.add_argument("--dt", type=_finite_positive, required=True)
     p_sde.add_argument("--trajectories", type=_at_least(1), default=1000)
-    p_sde.add_argument("--seed", type=_at_least(0), default=0)
+    # trajectory i draws from Philox keyed by (seed, i), one 64-bit word each
+    p_sde.add_argument("--seed", type=_at_least(0, below=2**64), default=0)
     p_sde.add_argument("--record-every", type=_at_least(1), default=1)
     steppers = [name.replace("_", "-") for name in STEPPERS]
     p_sde.add_argument("--stepper", choices=steppers, default=steppers[0])

@@ -17,12 +17,17 @@ trajectory. Trajectory i therefore receives the same noise no matter how
 trajectories are scheduled, and ensemble reductions run in a fixed
 trajectory-index order with a fixed chunk size, so results are
 bit-reproducible for a given (seed, n_traj, dt, model) regardless of the
-worker count.
+worker count. run_ensemble evaluates the chunks in forked worker processes,
+one per usable CPU up to the chunk count; the workers=n thread pool is kept
+only because the benchmark's own tests pin it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -103,13 +108,21 @@ def _key_sequence():
     return KeySequence
 
 
+def _check_key(seed: int, traj_index: int) -> None:
+    """Reject a (seed, trajectory index) pair that is not a Philox key."""
+    if seed < 0 or traj_index < 0:
+        raise ValueError("seed and trajectory index must be nonnegative")
+    if seed >= 2**64 or traj_index >= 2**64:
+        raise ValueError("seed and trajectory index must be below 2**64")
+
+
 def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     """Counter-based generator for one trajectory, keyed by (seed, index).
 
-    The stream is that of Generator(Philox(key=[seed, traj_index])).
+    The stream is that of Generator(Philox(key=[seed, traj_index])); both
+    must lie in [0, 2**64), one 64-bit word of the key each.
     """
-    if seed < 0 or traj_index < 0:
-        raise ValueError("seed and trajectory index must be nonnegative")
+    _check_key(seed, traj_index)
     key = np.array([seed, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
@@ -343,6 +356,53 @@ def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
     )
 
 
+def _process_count(jobs: list) -> int:
+    """Worker processes worth forking for jobs; 1 means run them here.
+
+    One per usable CPU up to the job count. Forking a process in which
+    another thread is alive could copy a lock that thread holds, so then
+    the answer is 1, as it is where the usable CPUs cannot be read.
+    """
+    if (len(jobs) < 2 or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(jobs), len(os.sched_getaffinity(0)))
+
+
+def _map_chunks(work, jobs: list) -> list:
+    """[work(job) for job in jobs], in forked worker processes when it pays.
+
+    work reaches the workers through fork, not pickling; only the jobs and
+    the results are pickled. Results come back in job order, so the first
+    exception raised is that of the lowest-index failing job, as in the
+    serial loop.
+    """
+    processes = _process_count(jobs)
+    if processes > 1:
+        import multiprocessing  # only a run that forks pays for the import
+
+        if not multiprocessing.current_process().daemon:  # daemons cannot fork
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # unflushed output would be written twice
+                    stream.flush()
+            with multiprocessing.get_context("fork").Pool(
+                    processes, initializer=_set_worker_work, initargs=(work,)) as pool:
+                return list(pool.imap(_worker_job, jobs, chunksize=1))
+    return [work(job) for job in jobs]
+
+
+_worker_work = None  # set in each worker process by _set_worker_work
+
+
+def _set_worker_work(work) -> None:
+    global _worker_work
+    _worker_work = work
+
+
+def _worker_job(job):
+    return _worker_work(job)
+
+
 def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
                  dt: float, n_traj: int, seed: int, record_every: int = 1,
                  stepper: str = "euler", workers: int = 1):
@@ -350,14 +410,13 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
 
     Returns (EnsembleStats, EnsembleDiagnostics). The stepper is resolved
     once into one update that every chunk applies. Trajectories are evolved
-    in fixed-size chunks, vectorized over the chunk; chunks may run on a
-    thread pool, and each chunk's sums and extremes are reduced in chunk
-    order, so the result is identical for a given (seed, n_traj, dt, model)
-    whatever the worker count. The CLI runs chunks serially: on a 2-vCPU
-    machine the pool with workers=2 measured slower than serial chunks on
-    every preset (larger core counts were not measured). The pool is kept
-    only because the benchmark's own tests pin it, and goes with the next
-    benchmark change.
+    in fixed-size chunks, vectorized over the chunk. The chunks run in
+    forked worker processes, one per usable CPU up to the chunk count, or
+    in order in this process when there is one chunk, one usable CPU or
+    another live thread, or when this process is a daemon. Each chunk's sums and extremes are reduced in
+    chunk order, so the result is identical for a given
+    (seed, n_traj, dt, model) whatever the worker count, and a failure is
+    that of the lowest-index failing chunk.
     Trace extremes are tracked at every step, eigenvalue and purity
     diagnostics at the recorded samples.
 
@@ -371,12 +430,15 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
         record_every: sample cadence in steps, a divisor of the step count.
         stepper: "euler" for the general linear scheme, "exact_unitary" for
             single-noise models with an anti-Hermitian noise operator.
-        workers: thread count for chunk evaluation; 1 (the default, and
-            what the CLI uses) runs the chunks in order on the calling
-            thread.
+        workers: when above 1, a thread pool of this size evaluates the
+            chunks instead of worker processes. On a 2-vCPU machine two
+            threads measured slower than serial chunks on every preset; the
+            pool is kept only because the benchmark's own tests pin it, and
+            goes with the next benchmark change.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
+    _check_key(seed, n_traj - 1)
     rho0, n_steps, times, step = _prepare(
         model, rho0, t_final, dt, record_every, stepper, "run_ensemble")
 
@@ -392,7 +454,7 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(work, jobs))
     else:
-        partials = [work(job) for job in jobs]
+        partials = _map_chunks(work, jobs)
 
     # reduced in chunk order whatever the worker count; sum() starts from
     # the integer 0, which rounds like adding into zeros

@@ -1,5 +1,4 @@
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -96,6 +95,17 @@ class TestCheckCommand:
         assert main(["check", "--model", path]) == EXIT_MODEL
         assert "invalid model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["dim", "hamiltonian", "lindblad_ops"])
+    def test_missing_field_names_the_file_once(self, tmp_path, monkeypatch, capsys, field):
+        monkeypatch.chdir(tmp_path)
+        write_model(tmp_path, name="m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        del payload[field]
+        (tmp_path / "m.json").write_text(json.dumps(payload))
+        assert main(["check", "--model", "m.json"]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err == f"invalid model: m.json: missing required field {field!r}\n"
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "--model", "missing.json"]) == EXIT_MODEL
 
@@ -154,6 +164,14 @@ class TestUsageErrors:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_seed_beyond_the_philox_key_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["sde", "--model", "dephasing", "--t-final", "0.02", "--dt", "1e-3",
+                     "--seed", str(2**64), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: argument --seed: must be below {2**64}, got {2**64}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["ode", "--t-final", "inf", "--dt", "0.01"],
@@ -248,22 +266,32 @@ class TestSdeCommand:
                      "--stepper", "exact-unitary", "--out", str(out)])
         assert code == EXIT_OK
 
-    def test_chunks_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+    def test_worker_processes_write_the_one_cpu_bytes(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+        import os
+
         import lindbladsde.unraveling as unr
 
-        threads = []
-        original = unr._run_chunk
+        forks = []
+        original = multiprocessing.get_context
 
-        def recording(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return original(*args, **kwargs)
+        def counting(method):
+            forks.append(method)
+            return original(method)
 
-        monkeypatch.setattr(unr, "_run_chunk", recording)
-        n_traj = 2 * unr._CHUNK_TRAJECTORIES + 1
-        assert main(["sde", "--model", "dephasing", "--t-final", "0.01", "--dt", "0.01",
-                     "--trajectories", str(n_traj), "--out",
-                     str(tmp_path / "mean.csv")]) == EXIT_OK
-        assert threads == [threading.get_ident()] * 3
+        monkeypatch.setattr(multiprocessing, "get_context", counting)
+        n_traj = 2 * unr._CHUNK_TRAJECTORIES + 1  # three chunks, the last partial
+        args = ["sde", "--model", "two-noise-correlated", "--t-final", "0.02", "--dt", "1e-3",
+                "--trajectories", str(n_traj), "--seed", "4", "--record-every", "5"]
+        outputs = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            out = tmp_path / f"mean-{len(cpus)}.csv"
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+            outputs[len(cpus)] = out.read_bytes(), capsys.readouterr().err
+        assert forks == ["fork"]  # only the two-CPU run forked
+        assert outputs[1] == outputs[2]
 
     def test_exact_unitary_rejected_for_damping(self, tmp_path, capsys):
         out = tmp_path / "mean.csv"

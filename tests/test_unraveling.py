@@ -550,6 +550,145 @@ class TestRunEnsemble:
                          seed=0, record_every=7)
 
 
+THREE_CHUNKS = 2 * 4096 + 1  # the last chunk holds one trajectory
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Methods passed to multiprocessing.get_context during the test."""
+    import multiprocessing
+
+    calls = []
+    original = multiprocessing.get_context
+
+    def counting(method=None):
+        calls.append(method)
+        return original(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting)
+    return calls
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+class TestChunkProcesses:
+    @pytest.mark.parametrize("name, stepper", [
+        ("two-noise-correlated", "euler"),
+        ("stochastic-unitary-larmor", "exact_unitary"),
+    ], ids=["two-noise-correlated", "larmor-exact-unitary"])
+    def test_workers_give_the_serial_bits(self, monkeypatch, forks, name, stepper):
+        model = preset_model(name)
+        results = []
+        for cpus in ({0}, {0, 1}):
+            usable_cpus(monkeypatch, cpus)
+            results.append(run_ensemble(model, uniform_superposition(2), 0.01, 1e-3,
+                                        THREE_CHUNKS, seed=17, record_every=5,
+                                        stepper=stepper))
+        assert forks == ["fork"]
+        (serial, serial_diag), (pooled, pooled_diag) = results
+        assert np.array_equal(serial.mean_state, pooled.mean_state)
+        assert np.array_equal(serial.stderr, pooled.stderr)
+        assert np.array_equal(serial.times, pooled.times)
+        assert serial_diag == pooled_diag
+
+    @pytest.mark.parametrize("failing_chunks", [(1,), (1, 2)], ids=["chunk-1", "chunks-1-2"])
+    def test_lowest_failing_chunk_raises_the_serial_message(self, monkeypatch, forks,
+                                                            failing_chunks):
+        # the patched update is carried into the workers by fork; a chunk is
+        # recognised by its first trajectory's increments at the first step
+        import lindbladsde.unraveling as unr
+
+        model = preset_model("dephasing")
+        first_steps = {
+            unr._trajectory_increments(3, 4096 * c, 1, 1, model.noise_basis, 1e-3)[0, 0].tobytes()
+            for c in failing_chunks
+        }
+        original = unr._euler_update
+
+        def failing(model, rho, dt, dw):
+            out = original(model, rho, dt, dw)
+            if dw[0].tobytes() in first_steps:
+                out = out.copy()
+                out[min(5, len(out) - 1), 0, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(unr, "_euler_update", failing)
+        messages = []
+        for cpus in ({0}, {0, 1}):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(NumericalError) as caught:
+                run_ensemble(model, uniform_superposition(2), 0.002, 1e-3, THREE_CHUNKS,
+                             seed=3)
+            messages.append(str(caught.value))
+        assert forks == ["fork"]
+        assert messages == ["trajectory 4101: non-finite state at t=0.001"] * 2
+
+    @pytest.mark.parametrize("case", ["trajectory", "one-chunk", "one-cpu",
+                                      "no-affinity", "live-thread", "daemon"])
+    def test_runs_in_process(self, monkeypatch, case):
+        import multiprocessing
+        import threading
+
+        def refuse(method=None):
+            raise AssertionError("forked")
+
+        usable_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        model, rho0 = preset_model("dephasing"), uniform_superposition(2)
+        if case == "trajectory":
+            run_trajectory(model, rho0, 0.002, 1e-3, seed=0, traj_index=4096)
+            return
+        n_traj = 4096 if case == "one-chunk" else THREE_CHUNKS
+        if case == "one-cpu":
+            usable_cpus(monkeypatch, {0})
+        elif case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        elif case == "daemon":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "live-thread":
+            thread.start()
+        try:
+            stats, _ = run_ensemble(model, rho0, 0.002, 1e-3, n_traj, seed=0)
+        finally:
+            release.set()
+        if case == "live-thread":
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert stats.trajectory_count == n_traj
+
+    def test_key_checked_before_any_worker(self, monkeypatch):
+        import multiprocessing
+
+        def refuse(method=None):
+            raise AssertionError("forked")
+
+        usable_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        model, rho0 = preset_model("dephasing"), uniform_superposition(2)
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            run_ensemble(model, rho0, 0.002, 1e-3, THREE_CHUNKS, seed=2**64)
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            run_ensemble(model, rho0, 0.002, 1e-3, 2**64 + 1, seed=0)
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only a run that forks imports multiprocessing, so set-up never pays for it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys, numpy; before = 'multiprocessing' in sys.modules; "
+                "import lindbladsde.cli; print(before, 'multiprocessing' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        before, after = result.stdout.split()
+        if before == "True":
+            pytest.skip("this numpy loads multiprocessing on import")
+        assert after == "False"
+
+
 class TestTrajectoryRng:
     def test_streams_differ_between_trajectories(self):
         a = trajectory_rng(0, 0).standard_normal(8)
@@ -586,3 +725,8 @@ class TestTrajectoryRng:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="nonnegative"):
             trajectory_rng(-1, 0)
+
+    @pytest.mark.parametrize("seed, index", [(2**64, 0), (0, 2**64)])
+    def test_rejects_keys_beyond_64_bits(self, seed, index):
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            trajectory_rng(seed, index)
