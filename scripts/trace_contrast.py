@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
-from lindbladsde.lindblad import time_grid, validate_model
+from lindbladsde.lindblad import time_grid
 from lindbladsde.unraveling import run_ensemble, run_trajectory
 
 
@@ -37,7 +37,7 @@ def main():
     for name in PRESET_NAMES:
         model = preset_model(name)
         rho0 = uniform_superposition(model.dim)
-        constrained = validate_model(model).trajectory_trace_preserving
+        constrained = model.report.trajectory_trace_preserving
 
         worst = 0.0
         for index in range(5):

@@ -14,11 +14,9 @@ from .lindblad import (
     NumericalError,
     OdeTrajectory,
     ValidationReport,
-    diagonalize_covariance,
     drift_operator,
     integrate_ode,
     lindblad_rhs,
-    validate_model,
 )
 from .operators import adjoint, commutator, hermitian_part
 from .presets import PRESET_NAMES, preset_model, uniform_superposition

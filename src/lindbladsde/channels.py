@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import LindbladModel, drift_operator, require_positive
+from .lindblad import LindbladModel, NumericalError, drift_operator, require_positive
 from .operators import frobenius, hermitian_part, readonly
 
 
@@ -76,7 +76,8 @@ def build_infinitesimal_kraus(model: LindbladModel, dt: float,
     dw holds sampled values of the noise increments, one per channel; the
     symbolic counterpart of this construction lives in the ito module. With
     increments satisfying (dW^n)^2 = dt, applying the channel to a state
-    agrees with the one-step Euler update up to order dt^(3/2).
+    agrees with the one-step Euler update up to order dt^(3/2). Raises
+    NumericalError when dt overflows the operators.
     """
     require_positive("build_infinitesimal_kraus", dt=dt)
     dw = np.asarray(dw, dtype=float)
@@ -91,4 +92,9 @@ def build_infinitesimal_kraus(model: LindbladModel, dt: float,
         w * (eye + dt * u) + dwn * v
         for w, v, dwn in zip(model.weights, model.lindblad_ops, dw)
     ])
+    if not np.all(np.isfinite(ops)):
+        raise NumericalError(
+            f"build_infinitesimal_kraus: non-finite operators; dt={dt!r} is too large "
+            "for this model"
+        )
     return KrausChannel(ops)

@@ -31,18 +31,10 @@ import numpy as np
 
 from .channels import build_infinitesimal_kraus, choi_of
 from .ito import derive_stochastic_evolution
-from .lindblad import (
-    LindbladModel,
-    NumericalError,
-    integrate_ode,
-    lindblad_rhs,
-    time_grid,
-    validate_model,
-)
-from .operators import (frobenius, matrix_from_literal, min_eigenvalues, purities,
-                        real_matrix_from_literal)
+from .lindblad import LindbladModel, NumericalError, integrate_ode, time_grid
+from .operators import matrix_from_literal, min_eigenvalues, purities, real_matrix_from_literal
 from .presets import PRESET_NAMES, preset_model, uniform_superposition
-from .unraveling import STEPPERS, run_ensemble
+from .unraveling import STEPPERS, run_ensemble, trajectory_rng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,17 +67,19 @@ def parse_model(path_or_preset: str) -> LindbladModel:
             f"(presets: {', '.join(PRESET_NAMES)})"
         )
     print(f"model report for {path_or_preset!r}:", file=sys.stderr)
-    print(validate_model(model).summary(), file=sys.stderr)
+    print(model.report.summary(), file=sys.stderr)
     return model
 
 
 def _model_from_file(path: Path) -> LindbladModel:
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level")
 
@@ -104,7 +98,8 @@ def _model_from_file(path: Path) -> LindbladModel:
     # the except clause below prefixes each message with the path
     try:
         dim = take("dim")
-        if not isinstance(dim, int) or dim < 1:
+        # bool is an int subclass, but "dim": true is not a dimension
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError("dim must be a positive integer")
         hamiltonian = matrix_from_literal(take("hamiltonian"), name="hamiltonian")
         raw_ops = take("lindblad_ops")
@@ -211,19 +206,13 @@ def cmd_sde(args) -> int:
 
 def cmd_derive(args) -> int:
     model = parse_model(args.model)
-    rng = np.random.Generator(np.random.Philox(key=np.array([0xD5EED, 0], dtype=np.uint64)))
+    rng = trajectory_rng(0xD5EED, 0)
     g = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal(
         (model.dim, model.dim))
     probe = g @ g.conj().T
     probe = probe / np.trace(probe).real
 
     result = derive_stochastic_evolution(model, probe)
-    drift_residual = frobenius(result.drift_coefficient - lindblad_rhs(model, probe))
-    expected_noise = np.array([
-        w * (v @ probe + probe @ v.conj().T)
-        for w, v in zip(model.weights, model.lindblad_ops)
-    ])
-    noise_residual = frobenius(result.noise_coefficients - expected_noise)
 
     with np.printoptions(precision=12, suppress=False, linewidth=120):
         print("drift coefficient (dt):")
@@ -231,10 +220,10 @@ def cmd_derive(args) -> int:
         for n, coeff in enumerate(result.noise_coefficients):
             print(f"noise coefficient (dW^{n}):")
             print(coeff)
-    print(f"drift residual vs master-equation generator: {drift_residual:.3e}")
-    print(f"noise residual vs d_n (v_n rho + rho v_n^dagger): {noise_residual:.3e}")
+    print(f"drift residual vs master-equation generator: {result.drift_residual:.3e}")
+    print(f"noise residual vs d_n (v_n rho + rho v_n^dagger): {result.noise_residual:.3e}")
     print(f"drift trace residual: {result.trace_residual:.3e}")
-    if drift_residual > DERIVE_TOL or noise_residual > DERIVE_TOL:
+    if result.drift_residual > DERIVE_TOL or result.noise_residual > DERIVE_TOL:
         print("derivation mismatch beyond tolerance", file=sys.stderr)
         return EXIT_DERIVATION
     return EXIT_OK
@@ -246,8 +235,12 @@ def cmd_choi(args) -> int:
     lines = ["dw_scale,index,eigenvalue"]
     for scale in (0.0, 1.0, -1.0):
         dw = np.full(model.noise_count, scale * root)
-        channel = build_infinitesimal_kraus(model, args.dt, dw)
-        eigenvalues = np.linalg.eigvalsh(choi_of(channel))
+        choi = choi_of(build_infinitesimal_kraus(model, args.dt, dw))
+        if not np.all(np.isfinite(choi)):
+            raise NumericalError(
+                f"choi: non-finite Choi matrix; dt={args.dt!r} is too large for this model"
+            )
+        eigenvalues = np.linalg.eigvalsh(choi)
         for idx, value in enumerate(eigenvalues):
             lines.append(f"{_format(scale)},{idx},{_format(value)}")
     _write_output(args.out, "\n".join(lines) + "\n")

@@ -12,7 +12,8 @@ not commute.
 The algebra exists to check, mechanically, that the one-step expansion of
 the weighted noise channel reproduces the master-equation generator in its
 dt coefficient and the expected noise coefficients in its dW slots. That
-check is :func:`derive_stochastic_evolution`.
+check is :func:`derive_stochastic_evolution`, which returns both residuals;
+the `derive` subcommand prints them and applies its tolerance.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import LindbladModel, drift_operator
-from .operators import adjoint, readonly
+from .lindblad import LindbladModel, drift_operator, lindblad_rhs
+from .operators import adjoint, frobenius, readonly
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,17 @@ class DerivationResult:
 
     noise_coefficients[n] is the dW^n coefficient of the state increment,
     drift_coefficient its dt coefficient, and trace_residual the absolute
-    trace of the drift, which vanishes for any valid model.
+    trace of the drift. drift_residual is the Frobenius distance of the
+    drift from lindblad_rhs(model, rho), and noise_residual that of the
+    noise coefficients from d_n (v_n rho + rho v_n^dagger). All three
+    vanish up to rounding for any valid model.
     """
 
     noise_coefficients: np.ndarray  # (N, d, d)
     drift_coefficient: np.ndarray   # (d, d)
     trace_residual: float
+    drift_residual: float
+    noise_residual: float
 
 
 def infinitesimal_operator_polynomials(model: LindbladModel) -> list[ItoPolynomial]:
@@ -153,8 +159,8 @@ def derive_stochastic_evolution(model: LindbladModel,
     The dW^n coefficients must equal d_n (v_n rho + rho v_n^dagger) and the
     dt coefficient must equal lindblad_rhs(model, rho); both follow
     mechanically from the increment rules once the drift operator carries
-    the trace-preservation constraint. Callers assert those identities in
-    tests; this function just performs the expansion.
+    the trace-preservation constraint. The result carries the residuals of
+    both identities; the caller decides what tolerance they must meet.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (model.dim, model.dim):
@@ -168,8 +174,15 @@ def derive_stochastic_evolution(model: LindbladModel,
         total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), a_n.adjoint())
     increment = total - rho_poly
     drift = np.array(increment.dt_term)
+    noise = np.array(increment.dw_terms)
+    expected_noise = np.array([
+        w * (v @ rho + rho @ v.conj().T)
+        for w, v in zip(model.weights, model.lindblad_ops)
+    ])
     return DerivationResult(
-        noise_coefficients=np.array(increment.dw_terms),
+        noise_coefficients=noise,
         drift_coefficient=drift,
         trace_residual=abs(complex(np.trace(drift))),
+        drift_residual=frobenius(drift - lindblad_rhs(model, rho)),
+        noise_residual=frobenius(noise - expected_noise),
     )

@@ -36,10 +36,12 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseBasis:
-    """Orthogonal eigenbasis of the increment covariance.
+    """Orthogonal eigenbasis of a model's increment covariance.
 
-    eigenvalues are ascending and clipped so that anything within CLIP_TOL
-    of zero is exactly zero; active_count is the number of strictly
+    Only model construction builds one, from the covariance's one
+    eigendecomposition, and keeps it as model.noise_basis; the arrays are
+    frozen. eigenvalues are ascending and clipped so that anything within
+    CLIP_TOL of zero is exactly zero; active_count is the number of strictly
     positive eigenvalues. Directions with zero eigenvalue never receive a
     random draw. smallest_raw_eigenvalue is the smallest eigenvalue before
     clipping, kept as the PSD diagnostic.
@@ -50,35 +52,18 @@ class NoiseBasis:
     active_count: int
     smallest_raw_eigenvalue: float
 
-    def __post_init__(self):
-        o = np.asarray(self.orthogonal, dtype=float)
-        w = np.asarray(self.eigenvalues, dtype=float)
-        n = o.shape[0]
-        if o.shape != (n, n) or w.shape != (n,):
-            raise ValueError("NoiseBasis: inconsistent shapes")
-        if np.linalg.norm(o.T @ o - np.eye(n)) > 1e-10:
-            raise ValueError("NoiseBasis: basis is not orthogonal within 1e-10")
-        if np.any(w < 0.0):
-            raise ValueError("NoiseBasis: eigenvalues must be nonnegative")
-        object.__setattr__(self, "orthogonal", readonly(o))
-        object.__setattr__(self, "eigenvalues", readonly(w))
-
     @property
     def noise_count(self) -> int:
         return self.eigenvalues.shape[0]
 
 
-def diagonalize_covariance(c: np.ndarray) -> NoiseBasis:
-    """Eigendecompose a PSD covariance, zeroing eigenvalues within CLIP_TOL.
-
-    This is the package's one eigendecomposition of a covariance; a model
-    runs it once at construction and keeps the result as its noise_basis.
-    """
-    return _eigenbasis(check_real_symmetric(c))
-
-
 def _eigenbasis(c: np.ndarray) -> NoiseBasis:
-    """diagonalize_covariance for a covariance already checked symmetric."""
+    """Eigendecompose a symmetric covariance, zeroing eigenvalues within CLIP_TOL.
+
+    The package's one eigendecomposition of a covariance, run once by model
+    construction. Raises ValueError when the covariance is not positive
+    semidefinite.
+    """
     w, o = np.linalg.eigh(c)
     smallest = float(w[0])
     if smallest < -CLIP_TOL:
@@ -87,14 +72,21 @@ def _eigenbasis(c: np.ndarray) -> NoiseBasis:
             f"(min eigenvalue {smallest:.3e} < -{CLIP_TOL:.1e})"
         )
     w = np.where(w <= CLIP_TOL, 0.0, w)
-    return NoiseBasis(orthogonal=o, eigenvalues=w,
+    return NoiseBasis(orthogonal=readonly(o), eigenvalues=readonly(w),
                       active_count=int(np.count_nonzero(w > 0.0)),
                       smallest_raw_eigenvalue=smallest)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Residuals of the model constraints, hard and soft."""
+    """Residuals of the model constraints, kept as model.report.
+
+    The hard invariants are enforced at construction, so their residuals
+    here are diagnostics. The soft check is whether the weighted Hermitian
+    parts of the noise operators cancel along every active eigenvector of
+    the covariance; when they do, single trajectories preserve the trace
+    exactly, not just in the ensemble mean.
+    """
 
     weight_residual: float
     diagonal_residual: float
@@ -120,16 +112,15 @@ class ValidationReport:
 class LindbladModel:
     """Validated open-system model.
 
-    Construction enforces the hard invariants: H Hermitian, weights positive
-    with unit square-sum, covariance symmetric with unit diagonal and
-    positive semidefinite. The PSD check is the covariance's one
-    eigendecomposition, kept as noise_basis for the runners. Construction
-    also derives, once, what every path reads: the residual report, kept as
-    report and returned by :func:`validate_model` (the soft per-trajectory
+    Construction is the package's only validation of a model. It enforces
+    the hard invariants: H Hermitian, weights positive with unit square-sum,
+    covariance symmetric with unit diagonal and positive semidefinite. The
+    PSD check is the covariance's one eigendecomposition, kept as
+    noise_basis for the runners. Construction also derives, once, what every
+    path reads: the residual report, kept as report (the soft per-trajectory
     trace constraint is reported there, never enforced), and the drift
-    operator U, kept as drift and returned by :func:`drift_operator`. All
-    arrays are copied and frozen, so a model is safe to share across
-    threads.
+    operator U, kept as drift. All arrays are copied and frozen, so a model
+    is safe to share across threads and worker processes.
     """
 
     hamiltonian: np.ndarray
@@ -207,18 +198,6 @@ class LindbladModel:
     @property
     def noise_count(self) -> int:
         return self.lindblad_ops.shape[0]
-
-
-def validate_model(model: LindbladModel) -> ValidationReport:
-    """The constraint residuals of a model, computed once at construction.
-
-    The hard invariants are enforced at construction, so their residuals
-    here are diagnostics. The soft check is whether the weighted Hermitian
-    parts of the noise operators cancel along every active eigenvector of
-    the covariance; when they do, single trajectories preserve the trace
-    exactly, not just in the ensemble mean.
-    """
-    return model.report
 
 
 def drift_operator(model: LindbladModel) -> np.ndarray:

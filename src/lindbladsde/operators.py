@@ -69,12 +69,13 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return frobenius(m - adjoint(m)) / scale
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL,
-                    name: str = "matrix") -> np.ndarray:
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = require_square(m, name)
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"{name}: not Hermitian (relative defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(
+            f"{name}: not Hermitian (relative defect {defect:.3e} > {HERMITICITY_TOL:.1e})"
+        )
     return m
 
 

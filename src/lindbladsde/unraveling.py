@@ -43,7 +43,6 @@ from .lindblad import (
     time_grid,
 )
 from .operators import (
-    HERMITICITY_TOL,
     adjoint,
     check_density_matrix,
     check_hermitian,
@@ -187,7 +186,7 @@ def unitary_noise_operator(model: LindbladModel) -> np.ndarray:
             f"{model.noise_count} noise operators"
         )
     k = 1j * model.lindblad_ops[0]
-    return check_hermitian(k, HERMITICITY_TOL, "noise operator (as -iK)")
+    return check_hermitian(k, name="noise operator (as -iK)")
 
 
 def stochastic_unitary_step(h: np.ndarray, k: np.ndarray, rho: np.ndarray,

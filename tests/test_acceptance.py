@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import philox, random_model, random_unit_diag_covariance
+from conftest import model_with_covariance, philox, random_model, random_unit_diag_covariance
 from lindbladsde.channels import apply_kraus, build_infinitesimal_kraus, choi_of
 from lindbladsde.ito import derive_stochastic_evolution
-from lindbladsde.lindblad import diagonalize_covariance, integrate_ode, lindblad_rhs
+from lindbladsde.lindblad import integrate_ode, lindblad_rhs
 from lindbladsde.operators import frobenius
 from lindbladsde.presets import (
     PRESET_NAMES,
@@ -160,7 +160,7 @@ def test_criterion_7_covariance_machinery():
         n = int(rng.integers(1, 7))
         rank = int(rng.integers(1, n + 1))
         c = random_unit_diag_covariance(rng, n, rank=rank)
-        basis = diagonalize_covariance(c)
+        basis = model_with_covariance(c).noise_basis
         rebuilt = (basis.orthogonal * basis.eigenvalues) @ basis.orthogonal.T
         assert frobenius(rebuilt - c) <= 1e-10
 

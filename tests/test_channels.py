@@ -11,7 +11,7 @@ from lindbladsde.channels import (
     choi_of,
     is_trace_preserving,
 )
-from lindbladsde.lindblad import LindbladModel
+from lindbladsde.lindblad import LindbladModel, NumericalError
 from lindbladsde.operators import (
     SIGMA_X,
     SIGMA_Y,
@@ -198,6 +198,13 @@ class TestInfinitesimalChannel:
         model = preset_model("dephasing")
         with pytest.raises(ValueError, match="build_infinitesimal_kraus: dt must be positive"):
             build_infinitesimal_kraus(model, dt, np.zeros(1))
+
+    def test_overflowing_dt_is_a_numerical_failure(self):
+        # U = -4i sigma_z - ..., so dt * U overflows at dt = 1.7e308
+        model = LindbladModel(hamiltonian=4.0 * SIGMA_Z, lindblad_ops=np.array([SIGMA_Y]),
+                              weights=np.array([1.0]), covariance=np.eye(1))
+        with pytest.raises(NumericalError, match="build_infinitesimal_kraus: non-finite"):
+            build_infinitesimal_kraus(model, 1.7e308, np.zeros(1))
 
 
 class TestAllPresetsChoi:

@@ -6,12 +6,14 @@ import pytest
 from lindbladsde.cli import (
     EXIT_DERIVATION,
     EXIT_MODEL,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
     parse_model,
 )
 from lindbladsde.presets import PRESET_NAMES
+from test_golden_csv import QUDIT8_MODEL
 
 
 def write_model(tmp_path, name="model.json", **overrides):
@@ -106,20 +108,38 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err == f"invalid model: m.json: missing required field {field!r}\n"
 
+    def test_undecodable_file_names_it_once(self, tmp_path, monkeypatch, capsys):
+        # \xff\xfe is a UTF-16 byte-order mark, not UTF-8
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bin.json").write_bytes(b"\xff\xfe{}")
+        assert main(["check", "--model", "bin.json"]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err == ("invalid model: bin.json: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
+    def test_boolean_dim_is_rejected(self, tmp_path, monkeypatch, capsys):
+        # bool is an int subclass; "dim": true must not pass as dim=1
+        monkeypatch.chdir(tmp_path)
+        write_model(tmp_path, name="m.json", dim=True, hamiltonian=[[[0, 0]]],
+                    lindblad_ops=[[[[0, 1]]]])
+        assert main(["check", "--model", "m.json"]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err == "invalid model: m.json: dim must be a positive integer\n"
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "--model", "missing.json"]) == EXIT_MODEL
 
     def test_validates_once(self, monkeypatch, capsys):
-        import lindbladsde.cli as cli
+        import lindbladsde.lindblad as lindblad
 
         calls = []
-        original = cli.validate_model
+        original = lindblad.check_real_symmetric
 
-        def counting(model):
-            calls.append(model)
-            return original(model)
+        def counting(c):
+            calls.append(c)
+            return original(c)
 
-        monkeypatch.setattr(cli, "validate_model", counting)
+        monkeypatch.setattr(lindblad, "check_real_symmetric", counting)
         assert main(["check", "--model", "dephasing"]) == EXIT_OK
         assert len(calls) == 1
 
@@ -317,12 +337,12 @@ class TestDeriveCommand:
     def test_mismatch_exits_4(self, monkeypatch, capsys):
         # the identity always holds for valid models, so fake a generator
         # disagreement to exercise the failure wiring
-        import lindbladsde.cli as cli
+        import lindbladsde.ito as ito
 
         def wrong_rhs(model, rho):
             return np.eye(model.dim, dtype=complex)
 
-        monkeypatch.setattr(cli, "lindblad_rhs", wrong_rhs)
+        monkeypatch.setattr(ito, "lindblad_rhs", wrong_rhs)
         assert main(["derive", "--model", "dephasing"]) == EXIT_DERIVATION
         assert "mismatch" in capsys.readouterr().err
 
@@ -354,6 +374,17 @@ class TestChoiCommand:
                      "--out", str(out)])
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("model, dt", [("dephasing", "1e300"),
+                                           ("qudit8.json", "1.7e308")])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys, model, dt):
+        # 1e300 overflows the Choi matrix; 1.7e308 already overflows dt * U
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "qudit8.json").write_text(json.dumps(QUDIT8_MODEL))
+        code = main(["choi", "--model", model, "--dt", dt, "--out", "c.csv"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: " in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("model", ["missing.json", "dephasing"])
     def test_dt_checked_before_the_model_loads(self, tmp_path, capsys, model):

@@ -3,7 +3,7 @@
 The run-to-run identity tests only compare two runs of the same code; these
 digests were recorded once and must be reproduced by every later version of
 the package, so a refactor that changes a rounding anywhere on the path
-from model to CSV, or in the report `check` prints, fails here.
+from model to CSV, or in what `check` and `derive` print, fails here.
 Floating-point results may differ between numpy releases, so the digests
 are asserted only under the numpy version that recorded them.
 
@@ -103,7 +103,8 @@ GOLDEN_SHA256 = {
 }
 
 
-# `check` stdout followed by its stderr, which holds the model report.
+# `check` and `derive` are hashed by stdout followed by stderr, which holds
+# the model report.
 CHECK_RUNS = {
     "check-dephasing": ["check", "--model", "dephasing"],
     "check-amplitude-damping": ["check", "--model", "amplitude-damping"],
@@ -125,22 +126,45 @@ CHECK_SHA256 = {
         "954d2a9663e1142ab91d4ceccdd5a138ace2c0b68fcac667b4b7e8f786a7ff86",
 }
 
+DERIVE_RUNS = {
+    "derive-dephasing": ["derive", "--model", "dephasing"],
+    "derive-amplitude-damping": ["derive", "--model", "amplitude-damping"],
+    "derive-stochastic-unitary-larmor": ["derive", "--model", "stochastic-unitary-larmor"],
+    "derive-two-noise-correlated": ["derive", "--model", "two-noise-correlated"],
+    "derive-qudit8-file": ["derive", "--model", "qudit8.json"],
+}
+
+DERIVE_SHA256 = {
+    "derive-dephasing":
+        "65aaacea4ff15c2caa0bd9df5ec83d442f40620280cf2f0ac828a882babd173d",
+    "derive-amplitude-damping":
+        "aa7d8e98b22de1e2def74e92ec9ac610876a70f518e5438a9c13a097cdde8d94",
+    "derive-stochastic-unitary-larmor":
+        "73eab559534681e7ca0e3aec9d7003ab272fd19a371a72fa047243ed8258bc29",
+    "derive-two-noise-correlated":
+        "357defcfc484e7809f8e26a7323e0ce5b0a8e98f12531334cd0bafdb26ee7baa",
+    "derive-qudit8-file":
+        "4b022ef95cbd20af602d5ea3fd9632a00d734ab4b8486ec44fbc3e824dcc7a62",
+}
+
 
 def run_digest(argv: list[str]) -> str:
     """SHA-256 of one pinned run made in the current directory.
 
     The model files are written there first, so a report names them by the
     same relative path wherever the run is made. A CSV run is hashed by the
-    file it writes, a `check` run by its stdout followed by its stderr.
+    file it writes, a `check` or `derive` run by its stdout followed by its
+    stderr.
     """
     for stem, model in (("qutrit", QUTRIT_MODEL), ("qudit8", QUDIT8_MODEL)):
         Path(f"{stem}.json").write_text(json.dumps(model))
-    if argv[0] != "check":
+    printed = argv[0] in ("check", "derive")
+    if not printed:
         argv = [*argv, "--out", "run.csv"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(argv) == EXIT_OK
-    if argv[0] == "check":
+    if printed:
         return hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
     return hashlib.sha256(Path("run.csv").read_bytes()).hexdigest()
 
@@ -164,8 +188,15 @@ def test_check_report_matches_recorded_digest(tmp_path, monkeypatch, name):
     assert run_digest(CHECK_RUNS[name]) == CHECK_SHA256[name]
 
 
+@recorded_numpy
+@pytest.mark.parametrize("name", sorted(DERIVE_RUNS))
+def test_derive_output_matches_recorded_digest(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(DERIVE_RUNS[name]) == DERIVE_SHA256[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        for name, argv in sorted({**RUNS, **CHECK_RUNS}.items()):
+        for name, argv in sorted({**RUNS, **CHECK_RUNS, **DERIVE_RUNS}.items()):
             print(name, run_digest(argv))

@@ -209,6 +209,19 @@ class TestDeriveStochasticEvolution:
         # trace preservation of the drift, machine checked
         assert result.trace_residual < 1e-12
 
+    def test_result_carries_both_residuals(self):
+        rng = philox(15)
+        model = random_model(rng, 3, 2)
+        rho = random_density(rng, 3)
+        result = derive_stochastic_evolution(model, rho)
+        assert result.drift_residual == frobenius(
+            result.drift_coefficient - lindblad_rhs(model, rho))
+        expected = np.array([w * (v @ rho + rho @ v.conj().T)
+                             for w, v in zip(model.weights, model.lindblad_ops)])
+        assert result.noise_residual == frobenius(result.noise_coefficients - expected)
+        assert result.drift_residual < 1e-12
+        assert result.noise_residual < 1e-12
+
     def test_rank_deficient_covariance_still_derives(self):
         rng = philox(13)
         model = random_model(rng, 2, 3, rank=1)

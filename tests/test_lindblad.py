@@ -13,7 +13,6 @@ from lindbladsde.lindblad import (
     integrate_ode,
     lindblad_rhs,
     time_grid,
-    validate_model,
 )
 from lindbladsde.operators import (
     SIGMA_MINUS,
@@ -46,7 +45,7 @@ class TestModelConstruction:
             weights=np.array([0.6, 0.8]),
             covariance=np.eye(2),
         )
-        assert validate_model(model).weight_residual == 0.0
+        assert model.report.weight_residual == 0.0
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError, match="sum of squares"):
@@ -100,22 +99,21 @@ class TestModelConstruction:
         assert np.count_nonzero(basis.eigenvalues) == 2
         rebuilt = (basis.orthogonal * basis.eigenvalues) @ basis.orthogonal.T
         assert frobenius(rebuilt - model.covariance) <= 1e-10
-        report = validate_model(model)
+        report = model.report
         assert report.psd_residual == max(0.0, -basis.smallest_raw_eigenvalue)
         assert report.drift_residuals.shape == (2,)
 
     def test_consumers_reuse_the_noise_basis(self, monkeypatch):
         # After construction nothing decomposes the covariance again: the
-        # Euler runners, the report and the Ito expansion all read the
-        # model's basis or covariance.
+        # Euler runners and the Ito expansion read the model's basis or
+        # covariance.
         model = random_model(philox(32), 2, 3, rank=2)
 
         def refuse(*args, **kwargs):
             raise AssertionError("covariance decomposed after construction")
 
-        monkeypatch.setattr(lindblad, "diagonalize_covariance", refuse)
+        monkeypatch.setattr(lindblad, "_eigenbasis", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        validate_model(model)
         derive_stochastic_evolution(model, random_density(philox(33), 2))
         run_trajectory(model, uniform_superposition(2), 0.01, 1e-3, seed=0)
         run_ensemble(model, uniform_superposition(2), 0.01, 1e-3, 8, seed=0)
@@ -146,20 +144,19 @@ class TestModelConstruction:
         monkeypatch.setattr(np, "einsum", refuse)
         monkeypatch.setattr(lindblad, "frobenius", refuse)
         monkeypatch.setattr(lindblad, "adjoint", refuse)
-        assert validate_model(model) is model.report
         assert drift_operator(model) is model.drift
 
 
 class TestValidateModel:
     def test_dephasing_preserves_trajectory_trace(self):
         # v + v^dagger = 0 for the anti-Hermitian dephasing operator
-        report = validate_model(preset_model("dephasing"))
+        report = preset_model("dephasing").report
         assert report.trajectory_trace_preserving
         assert np.all(report.drift_residuals <= 1e-12)
 
     def test_amplitude_damping_violates_constraint(self):
         # sigma_minus + sigma_plus = sigma_x, so the residual is |sigma_x|_F
-        report = validate_model(preset_model("amplitude-damping"))
+        report = preset_model("amplitude-damping").report
         assert not report.trajectory_trace_preserving
         assert report.drift_residuals.shape == (1,)
         assert abs(report.drift_residuals[0] - np.sqrt(2.0)) < 1e-12
@@ -174,7 +171,7 @@ class TestValidateModel:
             weights=np.array([np.sqrt(0.5), np.sqrt(0.5)]),
             covariance=np.ones((2, 2)),
         )
-        report = validate_model(model)
+        report = model.report
         assert report.trajectory_trace_preserving
         # breaking the weight symmetry breaks the cancellation
         skewed = LindbladModel(
@@ -183,17 +180,17 @@ class TestValidateModel:
             weights=np.array([0.6, 0.8]),
             covariance=np.ones((2, 2)),
         )
-        assert not validate_model(skewed).trajectory_trace_preserving
+        assert not skewed.report.trajectory_trace_preserving
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_verdicts(self, name):
         # TRACE_PRESERVING_PRESETS is written by hand from the operators, so
         # it is an oracle independent of the residual computation.
-        report = validate_model(preset_model(name))
+        report = preset_model(name).report
         assert report.trajectory_trace_preserving == (name in TRACE_PRESERVING_PRESETS)
 
     def test_summary_mentions_verdict(self):
-        text = validate_model(preset_model("dephasing")).summary()
+        text = preset_model("dephasing").report.summary()
         assert "trajectory_trace_preserving" in text
 
 

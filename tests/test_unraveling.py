@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    model_with_covariance,
     philox,
     random_density,
     random_hermitian,
@@ -18,7 +19,6 @@ from conftest import (
 from lindbladsde.lindblad import (
     LindbladModel,
     NumericalError,
-    diagonalize_covariance,
     drift_operator,
     integrate_ode,
     lindblad_rhs,
@@ -48,14 +48,14 @@ from lindbladsde.unraveling import (
 
 class TestDiagonalizeCovariance:
     def test_identity(self):
-        basis = diagonalize_covariance(np.eye(3))
+        basis = model_with_covariance(np.eye(3)).noise_basis
         assert np.array_equal(basis.eigenvalues, np.ones(3))
         assert basis.active_count == 3
         assert np.allclose(np.abs(basis.orthogonal), np.eye(3), atol=1e-14)
 
     def test_all_ones_pair(self):
         # 2x2 eigenproblem by hand: eigenvalues 2 and 0
-        basis = diagonalize_covariance(np.ones((2, 2)))
+        basis = model_with_covariance(np.ones((2, 2))).noise_basis
         assert np.allclose(basis.eigenvalues, [0.0, 2.0], atol=1e-14)
         assert basis.eigenvalues[0] == 0.0
         assert basis.active_count == 1
@@ -64,19 +64,19 @@ class TestDiagonalizeCovariance:
     @settings(max_examples=30, deadline=None)
     def test_reconstruction(self, seed, n):
         c = random_unit_diag_covariance(philox(seed), n)
-        basis = diagonalize_covariance(c)
+        basis = model_with_covariance(c).noise_basis
         rebuilt = (basis.orthogonal * basis.eigenvalues) @ basis.orthogonal.T
         assert frobenius(rebuilt - c) <= 1e-10
         assert frobenius(basis.orthogonal.T @ basis.orthogonal - np.eye(n)) <= 1e-10
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
-            diagonalize_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            model_with_covariance(np.array([[1.0, 2.0], [2.0, 1.0]])).noise_basis
 
 
 class TestSampleIncrements:
     def test_sample_covariance_converges(self):
-        basis = diagonalize_covariance(np.eye(2))
+        basis = model_with_covariance(np.eye(2)).noise_basis
         rng = trajectory_rng(123, 0)
         draws = sample_increments(basis, 1.0, rng, count=1_000_000)
         cov = draws.T @ draws / len(draws)
@@ -86,7 +86,7 @@ class TestSampleIncrements:
         # fully correlated pair: both increments equal, the antisymmetric
         # combination stays at rounding level (the inactive draw itself is
         # exactly zero by construction)
-        basis = diagonalize_covariance(np.ones((2, 2)))
+        basis = model_with_covariance(np.ones((2, 2))).noise_basis
         null_vec = basis.orthogonal[:, 0]
         for dw in sample_increments(basis, 1e-3, trajectory_rng(7, 0), count=100):
             assert dw[0] == dw[1] or abs(dw[0] - dw[1]) < 1e-15
@@ -94,14 +94,14 @@ class TestSampleIncrements:
 
     def test_rank_deficient_random_covariance(self):
         c = random_unit_diag_covariance(philox(5), 5, rank=2)
-        basis = diagonalize_covariance(c)
+        basis = model_with_covariance(c).noise_basis
         assert basis.active_count == 2
         null_basis = basis.orthogonal[:, basis.eigenvalues == 0.0]
         for dw in sample_increments(basis, 1e-2, trajectory_rng(8, 0), count=50):
             assert np.abs(null_basis.T @ dw).max() < 1e-13
 
     def test_variance_scales_with_dt(self):
-        basis = diagonalize_covariance(np.eye(1))
+        basis = model_with_covariance(np.eye(1)).noise_basis
         rng = trajectory_rng(9, 0)
         small = sample_increments(basis, 0.5, rng, count=100_000)[:, 0]
         big = sample_increments(basis, 1.0, rng, count=100_000)[:, 0]
@@ -109,13 +109,13 @@ class TestSampleIncrements:
         assert abs(ratio - 2.0) < 0.06
 
     def test_rejects_nonpositive_dt(self):
-        basis = diagonalize_covariance(np.eye(1))
+        basis = model_with_covariance(np.eye(1)).noise_basis
         with pytest.raises(ValueError, match="positive"):
             sample_increments(basis, 0.0, trajectory_rng(0, 0), count=1)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf])
     def test_rejects_non_finite_dt(self, dt):
-        basis = diagonalize_covariance(np.eye(1))
+        basis = model_with_covariance(np.eye(1)).noise_basis
         with pytest.raises(ValueError, match="sample_increments: dt must be positive"):
             sample_increments(basis, dt, trajectory_rng(0, 0), count=1)
         with pytest.raises(ValueError, match="sde_step: dt must be positive"):
@@ -525,9 +525,9 @@ class TestRunEnsemble:
         names = []
         original = unr.check_hermitian
 
-        def counting(m, tol=unr.HERMITICITY_TOL, name="matrix"):
+        def counting(m, name="matrix"):
             names.append(name)
-            return original(m, tol, name)
+            return original(m, name)
 
         monkeypatch.setattr(unr, "check_hermitian", counting)
         run_ensemble(preset_model("stochastic-unitary-larmor"), uniform_superposition(2),
