@@ -66,7 +66,10 @@ def choi_of(channel: KrausChannel) -> np.ndarray:
     ops = channel.operators
     k, d, _ = ops.shape
     vecs = ops.transpose(0, 2, 1).reshape(k, d * d)  # rows are column-stacked A_k
-    return hermitian_part(vecs.T @ vecs.conj())
+    # Overflow leaves inf or nan in the result, which the caller's
+    # finiteness check reports; numpy's warning would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return hermitian_part(vecs.T @ vecs.conj())
 
 
 def build_infinitesimal_kraus(model: LindbladModel, dt: float,
@@ -88,10 +91,12 @@ def build_infinitesimal_kraus(model: LindbladModel, dt: float,
         )
     u = drift_operator(model)
     eye = np.eye(model.dim, dtype=complex)
-    ops = np.array([
-        w * (eye + dt * u) + dwn * v
-        for w, v, dwn in zip(model.weights, model.lindblad_ops, dw)
-    ])
+    # The finiteness check below is the one report of an overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = np.array([
+            w * (eye + dt * u) + dwn * v
+            for w, v, dwn in zip(model.weights, model.lindblad_ops, dw)
+        ])
     if not np.all(np.isfinite(ops)):
         raise NumericalError(
             f"build_infinitesimal_kraus: non-finite operators; dt={dt!r} is too large "

@@ -158,7 +158,9 @@ def _states_csv(times, states, stderr=None) -> str:
         header.append("stderr")
         columns.append(stderr)
     lines = [",".join(header)]
-    lines += [",".join(map(_format, row)) for row in np.column_stack(columns)]
+    # repr of a Python float is _format of the numpy one. One row at a time:
+    # a whole-table tolist() holds every entry as a Python float at once.
+    lines += [",".join(map(repr, row.tolist())) for row in np.column_stack(columns)]
     return "\n".join(lines) + "\n"
 
 

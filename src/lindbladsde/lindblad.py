@@ -118,9 +118,11 @@ class LindbladModel:
     PSD check is the covariance's one eigendecomposition, kept as
     noise_basis for the runners. Construction also derives, once, what every
     path reads: the residual report, kept as report (the soft per-trajectory
-    trace constraint is reported there, never enforced), and the drift
-    operator U, kept as drift. All arrays are copied and frozen, so a model
-    is safe to share across threads and worker processes.
+    trace constraint is reported there, never enforced), the drift operator
+    U, kept as drift, and the stacks of v_n^dagger and v_n^dagger v_n that
+    lindblad_rhs reads, kept as adjoint_ops and vdv_ops. All arrays are
+    copied and frozen, so a model is safe to share across threads and
+    worker processes.
     """
 
     hamiltonian: np.ndarray
@@ -130,6 +132,8 @@ class LindbladModel:
     noise_basis: NoiseBasis = field(init=False, repr=False, compare=False)
     report: ValidationReport = field(init=False, repr=False, compare=False)
     drift: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d)
+    adjoint_ops: np.ndarray = field(init=False, repr=False, compare=False)  # (N, d, d)
+    vdv_ops: np.ndarray = field(init=False, repr=False, compare=False)  # (N, d, d)
 
     def __post_init__(self):
         h = check_hermitian(np.asarray(self.hamiltonian, dtype=complex), name="hamiltonian")
@@ -186,10 +190,14 @@ class LindbladModel:
             trajectory_trace_preserving=bool(np.all(residuals <= DRIFT_CONSTRAINT_TOL)),
         )
         vdv = np.einsum("nba,nbc->ac", ops.conj(), ops)
+        # Stacked matmul, not einsum: each v_n^dagger v_n then has the bits
+        # of the single product v_n^dagger @ v_n.
+        vdag = adjoint(ops)
         # The dataclass is frozen, so its fields are set through __dict__.
         self.__dict__.update(hamiltonian=h, lindblad_ops=ops, weights=w, covariance=c,
                              noise_basis=basis, report=report,
-                             drift=readonly(-1j * h - 0.5 * vdv))
+                             drift=readonly(-1j * h - 0.5 * vdv),
+                             adjoint_ops=readonly(vdag), vdv_ops=readonly(vdag @ ops))
 
     @property
     def dim(self) -> int:
@@ -217,18 +225,29 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     - (1/2) v_n^dagger v_n rho - (1/2) rho v_n^dagger v_n).
     Accepts a single (d, d) state or a stacked (..., d, d) batch. The result
     is Hermitian and traceless up to rounding whenever rho is Hermitian.
+
+    The noise terms of all n come from one stacked product each, over the
+    model's cached v_n^dagger and v_n^dagger v_n, and are then added in n
+    order, so the result has the bits of a loop over the noise operators
+    that rebuilds both for every n.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (model.dim, model.dim):
         raise ValueError(
             f"lindblad_rhs: state shape {rho.shape[-2:]} does not match dim {model.dim}"
         )
+    return _rhs(model, rho)
+
+
+def _rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
+    """lindblad_rhs for a complex (..., d, d) rho, with no input checks."""
     h = model.hamiltonian
     out = -1j * (h @ rho - rho @ h)
-    for v in model.lindblad_ops:
-        vdag = v.conj().T
-        vdv = vdag @ v
-        out = out + (v @ rho) @ vdag - 0.5 * (vdv @ rho + rho @ vdv)
+    stacked = rho[..., None, :, :]  # (..., 1, d, d), against the (N, d, d) stacks
+    jump = (model.lindblad_ops @ stacked) @ model.adjoint_ops
+    anti = 0.5 * (model.vdv_ops @ stacked + stacked @ model.vdv_ops)
+    for n in range(model.noise_count):
+        out = out + jump[..., n, :, :] - anti[..., n, :, :]
     return out
 
 
@@ -285,10 +304,10 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
 
     states = [rho]
     for k in range(n_steps):
-        k1 = lindblad_rhs(model, rho)
-        k2 = lindblad_rhs(model, rho + (0.5 * dt) * k1)
-        k3 = lindblad_rhs(model, rho + (0.5 * dt) * k2)
-        k4 = lindblad_rhs(model, rho + dt * k3)
+        k1 = _rhs(model, rho)
+        k2 = _rhs(model, rho + (0.5 * dt) * k1)
+        k3 = _rhs(model, rho + (0.5 * dt) * k2)
+        k4 = _rhs(model, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = hermitian_part(rho)
         if not np.all(np.isfinite(rho)):

@@ -199,6 +199,7 @@ class TestInfinitesimalChannel:
         with pytest.raises(ValueError, match="build_infinitesimal_kraus: dt must be positive"):
             build_infinitesimal_kraus(model, dt, np.zeros(1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_dt_is_a_numerical_failure(self):
         # U = -4i sigma_z - ..., so dt * U overflows at dt = 1.7e308
         model = LindbladModel(hamiltonian=4.0 * SIGMA_Z, lindblad_ops=np.array([SIGMA_Y]),

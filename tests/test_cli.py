@@ -1,17 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import philox
 from lindbladsde.cli import (
     EXIT_DERIVATION,
     EXIT_MODEL,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _format,
+    _states_csv,
     main,
     parse_model,
 )
+from lindbladsde.operators import min_eigenvalues, purities
 from lindbladsde.presets import PRESET_NAMES
 from test_golden_csv import QUDIT8_MODEL
 
@@ -322,6 +330,48 @@ class TestSdeCommand:
         assert not out.exists()
 
 
+class TestStatesCsv:
+    @staticmethod
+    def reference(times, states, stderr=None):
+        # the former _states_csv, which formats every numpy scalar through _format
+        d = states.shape[-1]
+        header = ["time",
+                  *(f"rho_{i}_{j}_{part}" for i, j in np.ndindex(d, d)
+                    for part in ("re", "im")),
+                  "trace_re", "min_eigenvalue", "purity"]
+        entries = states.reshape(len(times), -1)
+        parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(times), -1)
+        columns = [times, parts, np.trace(states, axis1=-2, axis2=-1).real,
+                   min_eigenvalues(states), purities(states)]
+        if stderr is not None:
+            header.append("stderr")
+            columns.append(stderr)
+        lines = [",".join(header)]
+        lines += [",".join(map(_format, row)) for row in np.column_stack(columns)]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("with_stderr", [False, True])
+    @pytest.mark.parametrize("rows", [1, 9])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bytes_of_the_scalar_formatter(self, dim, rows, with_stderr):
+        rng = philox(100 * dim + rows)
+        special = np.array([-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.0, 3.0, -2.0,
+                            1e16, 2.0**53 + 2.0, 0.1])
+
+        def table(*shape):
+            x = rng.standard_normal(shape)
+            mask = rng.random(shape) < 0.4
+            x[mask] = rng.choice(special, size=int(mask.sum()))
+            return x
+
+        times = table(rows)
+        states = table(rows, dim, dim) + 1j * table(rows, dim, dim)
+        states = 0.5 * (states + states.conj().swapaxes(-1, -2))  # eigvalsh reads Hermitian
+        stderr = table(rows) if with_stderr else None
+        with np.errstate(all="ignore"):  # squares of 1e300 overflow the purity
+            assert _states_csv(times, states, stderr) == self.reference(times, states, stderr)
+
+
 class TestDeriveCommand:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_pass(self, name, capsys):
@@ -375,6 +425,7 @@ class TestChoiCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("model, dt", [("dephasing", "1e300"),
                                            ("qudit8.json", "1.7e308")])
     def test_overflow_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys, model, dt):
@@ -384,6 +435,20 @@ class TestChoiCommand:
         code = main(["choi", "--model", model, "--dt", dt, "--out", "c.csv"])
         assert code == EXIT_NUMERICAL
         assert "numerical failure: " in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_overflow_prints_only_the_failure(self, tmp_path):
+        # numpy's overflow warnings would reach stderr ahead of the one line
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-m", "lindbladsde", "choi", "--model", "dephasing",
+             "--dt", "1e300", "--out", "c.csv"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == EXIT_NUMERICAL
+        assert "Warning" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith("numerical failure: choi:")
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("model", ["missing.json", "dephasing"])

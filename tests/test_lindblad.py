@@ -91,6 +91,9 @@ class TestModelConstruction:
         model = preset_model("dephasing")
         with pytest.raises(ValueError):
             model.hamiltonian[0, 0] = 1.0
+        for cached in (model.adjoint_ops, model.vdv_ops):
+            with pytest.raises(ValueError):
+                cached[0, 0, 0] = 1.0
 
     def test_noise_basis_is_the_covariance_decomposition(self):
         model = random_model(philox(31), 3, 4, rank=2)
@@ -253,6 +256,27 @@ class TestGenerator:
         rho = random_density(rng, 3)
         result = derive_stochastic_evolution(model, rho)
         assert frobenius(result.drift_coefficient - lindblad_rhs(model, rho)) < 1e-12
+
+    @pytest.mark.parametrize("noises", [1, 2, 3, 4, 6, 16])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 9, 12, 16, 32])
+    def test_bits_of_the_per_noise_loop(self, dim, noises):
+        # lindblad_rhs stacks the noise terms over n; this loop, which
+        # rebuilds v^dagger and v^dagger v for every n, is the reference
+        def reference(model, rho):
+            h = model.hamiltonian
+            out = -1j * (h @ rho - rho @ h)
+            for v in model.lindblad_ops:
+                vdag = v.conj().T
+                vdv = vdag @ v
+                out = out + (v @ rho) @ vdag - 0.5 * (vdv @ rho + rho @ vdv)
+            return out
+
+        rng = philox(1000 * dim + noises)
+        model = random_model(rng, dim, noises)
+        for batch in [(), (3,), (2, 5)]:
+            shape = (*batch, dim, dim)
+            rho = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(lindblad_rhs(model, rho), reference(model, rho))
 
     def test_batched_states(self):
         rng = philox(3)

@@ -700,12 +700,25 @@ class TestTrajectoryRng:
         b = trajectory_rng(5, 3).standard_normal(8)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**63])
-    @pytest.mark.parametrize("index", [0, 1, 4095, 10**12])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 4095, 10**12, 2**64 - 1])
     def test_stream_is_philox_keyed_by_seed_and_index(self, seed, index):
         key = np.array([seed, index], dtype=np.uint64)
-        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(257)
-        assert np.array_equal(trajectory_rng(seed, index).standard_normal(257), expected)
+        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(10**4)
+        assert np.array_equal(trajectory_rng(seed, index).standard_normal(10**4), expected)
+
+    def test_live_generators_keep_their_own_state(self):
+        # every generator starts from the one shared zero counter
+        a, b = trajectory_rng(7, 0), trajectory_rng(7, 1)
+        interleaved = [(a.standard_normal(5), b.standard_normal(5)) for _ in range(40)]
+        alone_a = trajectory_rng(7, 0).standard_normal(200)
+        alone_b = trajectory_rng(7, 1).standard_normal(200)
+        assert np.array_equal(np.concatenate([x for x, _ in interleaved]), alone_a)
+        assert np.array_equal(np.concatenate([y for _, y in interleaved]), alone_b)
+        import lindbladsde.unraveling as unr
+        counter = unr._ZERO_COUNTER
+        assert counter.dtype == np.uint64 and np.array_equal(counter, np.zeros(4))
+        assert not counter.flags.writeable
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy loads numpy.random on first use; importing the package must
