@@ -26,9 +26,6 @@ from .unraveling import (
     Trajectory,
     run_ensemble,
     run_trajectory,
-    sample_increments,
-    sde_step,
-    stochastic_unitary_step,
     trajectory_rng,
 )
 

@@ -119,10 +119,10 @@ class LindbladModel:
     noise_basis for the runners. Construction also derives, once, what every
     path reads: the residual report, kept as report (the soft per-trajectory
     trace constraint is reported there, never enforced), the drift operator
-    U, kept as drift, and the stacks of v_n^dagger and v_n^dagger v_n that
-    lindblad_rhs reads, kept as adjoint_ops and vdv_ops. All arrays are
-    copied and frozen, so a model is safe to share across threads and
-    worker processes.
+    U, kept as drift, and the stacks of v_n^dagger and v_n^dagger v_n, kept
+    as adjoint_ops and vdv_ops; lindblad_rhs reads both, and the Euler step
+    kernel reads adjoint_ops. All arrays are copied and frozen, so a model
+    is safe to share across threads and worker processes.
     """
 
     hamiltonian: np.ndarray

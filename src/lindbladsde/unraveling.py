@@ -11,6 +11,10 @@ noise operators cancel along every active covariance direction; positivity
 of single trajectories is not guaranteed by the linear scheme at all, so
 both are monitored and reported, never enforced.
 
+The update is computed in one place, the kernels _euler_update and
+_unitary_update, which _prepare resolves once per run from the stepper
+name; run_trajectory and run_ensemble are the public ways to step.
+
 Randomness contract: increments come from the counter-based Philox
 generator keyed by (seed, trajectory index), drawn in step order within a
 trajectory. Trajectory i therefore receives the same noise no matter how
@@ -25,6 +29,7 @@ only because the benchmark's own tests pin it.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import sys
 import threading
@@ -39,7 +44,6 @@ from .lindblad import (
     NumericalError,
     check_step_size,
     drift_operator,
-    require_positive,
     time_grid,
 )
 from .operators import (
@@ -59,30 +63,15 @@ STEPPERS = ("euler", "exact_unitary")
 _CHUNK_TRAJECTORIES = 4096
 
 
-def sample_increments(basis: NoiseBasis, dt: float, rng: np.random.Generator,
-                      count: int) -> np.ndarray:
-    """Draw count correlated increment vectors for steps of length dt.
-
-    Each active eigendirection r gets an independent normal of variance
-    eigenvalue_r * dt; inactive directions get exactly zero, which keeps
-    the increments inside the range of the covariance by construction. The
-    generator is advanced by one draw per direction, active or not, so the
-    stream layout does not depend on the covariance rank. The result is a
-    (count, N) batch consuming the stream in row order.
-    """
-    require_positive("sample_increments", dt=dt)
-    return _correlate(rng.standard_normal((count, basis.noise_count)), basis, dt)
-
-
 def _correlate(xi: np.ndarray, basis: NoiseBasis, dt: float) -> np.ndarray:
     """Turn standard normals (..., N) into increments, overwriting xi.
 
     Scales direction r by sqrt(eigenvalue_r * dt), then rotates into the
     noise basis. A (count, n_steps, N) stack is rotated as count separate
-    (n_steps, N) products, the very product sample_increments makes for one
-    trajectory, so both give the same bits. One (count * n_steps, N)
-    product would not: for n_steps = 1 numpy takes a vector-matrix path
-    that rounds differently.
+    (n_steps, N) products, each with the bits of the product for that one
+    trajectory's (n_steps, N) draws. One (count * n_steps, N) product would
+    not be: for n_steps = 1 numpy takes a vector-matrix path that rounds
+    differently.
     """
     xi *= np.sqrt(basis.eigenvalues * dt)
     return xi @ basis.orthogonal.T
@@ -108,12 +97,18 @@ def _key_sequence():
     return KeySequence
 
 
-def _check_key(seed: int, traj_index: int) -> None:
-    """Reject a (seed, trajectory index) pair that is not a Philox key."""
+def _check_key(seed: int, traj_index: int) -> tuple[int, int]:
+    """The (seed, trajectory index) pair as ints, if it is a Philox key.
+
+    Both go through operator.index, so a float raises TypeError instead of
+    being truncated to another key, while numpy integers keep their value.
+    """
+    seed, traj_index = operator.index(seed), operator.index(traj_index)
     if seed < 0 or traj_index < 0:
         raise ValueError("seed and trajectory index must be nonnegative")
     if seed >= 2**64 or traj_index >= 2**64:
         raise ValueError("seed and trajectory index must be below 2**64")
+    return seed, traj_index
 
 
 # Philox's starting counter, shared by every trajectory. Philox copies it
@@ -125,14 +120,13 @@ def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     """Counter-based generator for one trajectory, keyed by (seed, index).
 
     The stream is that of Generator(Philox(key=[seed, traj_index])); both
-    must lie in [0, 2**64), one 64-bit word of the key each. The zero
+    must be integers in [0, 2**64), one 64-bit word of the key each. The zero
     counter is passed as a ready uint64 array: left at its default, Philox
     converts the integer 0 into that array on every construction, which
     measured about a quarter of the cost of building and filling one
     trajectory's generator.
     """
-    _check_key(seed, traj_index)
-    key = np.array([seed, traj_index], dtype=np.uint64)
+    key = np.array(_check_key(seed, traj_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_key_sequence()(key),
                                                 counter=_ZERO_COUNTER))
 
@@ -141,7 +135,9 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
                   dw: np.ndarray) -> np.ndarray:
     """One linear update, no finiteness check. rho (..., d, d), dw (..., N).
 
-    Computed as G rho + rho G^dagger + dt sum_n v_n rho v_n^dagger with
+    Returns the Hermitian part of
+    rho + sum_n d_n (v_n rho + rho v_n^dagger) dW^n + L(rho) dt,
+    computed as G rho + rho G^dagger + dt sum_n v_n rho v_n^dagger with
     G = sum_n d_n dW^n v_n + U dt, which regroups the noise and drift terms
     of the update without changing them.
     """
@@ -149,40 +145,14 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
     g = g + dt * drift_operator(model)
     out = rho + g @ rho + rho @ adjoint(g)
     d = model.dim
-    for v in model.lindblad_ops:
+    for v, vdag in zip(model.lindblad_ops, model.adjoint_ops):
         # The right factor is one product over the whole trajectory batch,
         # (count*d x d)(d x d), with the bits of count stacked d x d
         # products. The left product v @ rho stays stacked: reshaped, it
         # rounds differently.
-        vrv = ((v @ rho).reshape(-1, d) @ v.conj().T).reshape(rho.shape)
+        vrv = ((v @ rho).reshape(-1, d) @ vdag).reshape(rho.shape)
         out = out + dt * vrv
     return hermitian_part(out)
-
-
-def sde_step(model: LindbladModel, rho: np.ndarray, dt: float,
-             dw: np.ndarray) -> np.ndarray:
-    """One Euler step of the unraveling, re-Hermitized.
-
-    Returns rho + sum_n d_n (v_n rho + rho v_n^dagger) dW^n + L(rho) dt,
-    then (out + out^dagger) / 2. Accepts stacked states (..., d, d) with
-    matching stacked increments (..., N). Raises NumericalError on
-    non-finite output.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dw = np.asarray(dw, dtype=float)
-    d, n = model.dim, model.noise_count
-    if rho.shape[-2:] != (d, d):
-        raise ValueError(f"sde_step: state shape {rho.shape[-2:]} does not match dim {d}")
-    if dw.shape[-1:] != (n,) or dw.shape[:-1] != rho.shape[:-2]:
-        raise ValueError(
-            f"sde_step: increment shape {dw.shape} does not match state batch "
-            f"{rho.shape[:-2]} with {n} noises"
-        )
-    require_positive("sde_step", dt=dt)
-    out = _euler_update(model, rho, dt, dw)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("sde_step: non-finite output")
-    return out
 
 
 def unitary_noise_operator(model: LindbladModel) -> np.ndarray:
@@ -200,24 +170,15 @@ def unitary_noise_operator(model: LindbladModel) -> np.ndarray:
     return check_hermitian(k, name="noise operator (as -iK)")
 
 
-def stochastic_unitary_step(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
-                            dt: float, dw: float) -> np.ndarray:
-    """Exact step V rho V^dagger with V = exp(-i (H dt + K dW)).
-
-    The exponential is evaluated by eigendecomposition of the Hermitian
-    combination, so trace and the full spectrum of rho are preserved to
-    rounding. Accepts stacked states and increments.
-    """
-    h = check_hermitian(np.asarray(h, dtype=complex), name="hamiltonian")
-    k = check_hermitian(np.asarray(k, dtype=complex), name="noise generator")
-    rho = np.asarray(rho, dtype=complex)
-    dw = np.asarray(dw, dtype=float)
-    return _unitary_update(h, k, rho, dt, dw)
-
-
 def _unitary_update(h: np.ndarray, k: np.ndarray, rho: np.ndarray, dt: float,
                     dw: np.ndarray) -> np.ndarray:
-    """One exact unitary step with no input checks; the chunk loop's kernel."""
+    """Exact step V rho V^dagger with V = exp(-i (H dt + K dW)), no input checks.
+
+    h and k are Hermitian (d, d); rho (..., d, d) and dw (...) are stacked.
+    The exponential is evaluated by eigendecomposition of the Hermitian
+    combination, so trace and the full spectrum of rho are preserved to
+    rounding.
+    """
     generator = h * dt + k * np.expand_dims(dw, (-1, -2))
     w, q = np.linalg.eigh(generator)
     v = (q * np.exp(-1j * w)[..., None, :]) @ adjoint(q)
@@ -267,9 +228,12 @@ def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
                            basis: NoiseBasis, dt: float) -> np.ndarray:
     """Increments for trajectories [start, start+count), shape (count, n_steps, N).
 
-    Row i is what sample_increments draws from trajectory_rng(seed, start + i)
-    for n_steps steps: each trajectory's normals go straight into the chunk
-    array, which is then transformed once.
+    Row i is _correlate of the (n_steps, N) standard normals that
+    trajectory_rng(seed, start + i) draws, in step order: each trajectory's
+    normals go straight into the chunk array, which is then transformed
+    once. Each direction gets one draw per step, active or not, so the
+    stream layout does not depend on the covariance rank, and inactive
+    directions get exactly zero.
     """
     xi = np.empty((count, n_steps, basis.noise_count))
     for i in range(count):
@@ -323,8 +287,9 @@ def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
 
     The one place a stepper name becomes an update: step(rho, dw) advances
     stacked states rho (..., d, d) by dt with increments dw (..., N), using
-    the unchecked kernel of sde_step or stochastic_unitary_step. Returns
-    (rho0, n_steps, record times, step).
+    the kernel _euler_update or _unitary_update. rho0, the stepper, dt and
+    the exact-unitary noise operator are checked here, once per run, so the
+    kernels check nothing. Returns (rho0, n_steps, record times, step).
     """
     rho0 = np.array(check_density_matrix(rho0), dtype=complex)
     if stepper not in STEPPERS:
@@ -446,9 +411,10 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
             pool is kept only because the benchmark's own tests pin it, and
             goes with the next benchmark change.
     """
+    n_traj = operator.index(n_traj)
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    _check_key(seed, n_traj - 1)
+    seed, _ = _check_key(seed, n_traj - 1)
     rho0, n_steps, times, step = _prepare(
         model, rho0, t_final, dt, record_every, stepper, "run_ensemble")
 

@@ -25,11 +25,10 @@ from lindbladsde.presets import (
     uniform_superposition,
 )
 from lindbladsde.unraveling import (
+    _euler_update,
+    _trajectory_increments,
     run_ensemble,
     run_trajectory,
-    sample_increments,
-    sde_step,
-    trajectory_rng,
 )
 
 
@@ -135,7 +134,7 @@ def test_criterion_5_channel_consistency():
         for sign in signs:
             dw = np.array([sign * root])
             channel_state = apply_kraus(build_infinitesimal_kraus(model, dt, dw), rho)
-            euler_state = sde_step(model, rho, dt, dw)
+            euler_state = _euler_update(model, rho, dt, dw)
             errors.append(frobenius(channel_state - euler_state))
         mean_errors.append(np.mean(errors))
     ratio = mean_errors[0] / mean_errors[1]
@@ -165,8 +164,7 @@ def test_criterion_7_covariance_machinery():
         assert frobenius(rebuilt - c) <= 1e-10
 
         dt = 1.0
-        draws = sample_increments(basis, dt, trajectory_rng(0xC7, case),
-                                  count=1_000_000)
+        draws = _trajectory_increments(0xC7, case, 1, 1_000_000, basis, dt)[0]
         sample_cov = draws.T @ draws / len(draws)
         assert np.abs(sample_cov - c * dt).max() <= 0.01 * dt
 

@@ -21,7 +21,7 @@ from lindbladsde.operators import (
     hermitian_part,
 )
 from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
-from lindbladsde.unraveling import sde_step
+from lindbladsde.unraveling import _euler_update
 
 
 class TestApplyKraus:
@@ -144,7 +144,7 @@ class TestInfinitesimalChannel:
             for sign in (1.0, -1.0):
                 dw = np.array([sign * np.sqrt(dt)])
                 channel_out = apply_kraus(build_infinitesimal_kraus(model, dt, dw), rho)
-                euler_out = sde_step(model, rho, dt, dw)
+                euler_out = _euler_update(model, rho, dt, dw)
                 defects.append(frobenius(channel_out - euler_out))
             errors.append(np.mean(defects))
         ratio = errors[0] / errors[1]

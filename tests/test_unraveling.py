@@ -33,17 +33,20 @@ from lindbladsde.operators import (
 )
 from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model, uniform_superposition
 from lindbladsde.unraveling import (
+    _correlate,
     _euler_update,
-    _prepare,
     _trajectory_increments,
+    _unitary_update,
     run_ensemble,
     run_trajectory,
-    sample_increments,
-    sde_step,
-    stochastic_unitary_step,
     trajectory_rng,
     unitary_noise_operator,
 )
+
+
+def increments(basis, dt, seed, count, index=0):
+    """The first count steps of trajectory index's increments, shape (count, N)."""
+    return _trajectory_increments(seed, index, 1, count, basis, dt)[0]
 
 
 class TestDiagonalizeCovariance:
@@ -77,8 +80,7 @@ class TestDiagonalizeCovariance:
 class TestSampleIncrements:
     def test_sample_covariance_converges(self):
         basis = model_with_covariance(np.eye(2)).noise_basis
-        rng = trajectory_rng(123, 0)
-        draws = sample_increments(basis, 1.0, rng, count=1_000_000)
+        draws = increments(basis, 1.0, 123, 1_000_000)
         cov = draws.T @ draws / len(draws)
         assert np.abs(cov - np.eye(2)).max() < 0.01
 
@@ -88,7 +90,7 @@ class TestSampleIncrements:
         # exactly zero by construction)
         basis = model_with_covariance(np.ones((2, 2))).noise_basis
         null_vec = basis.orthogonal[:, 0]
-        for dw in sample_increments(basis, 1e-3, trajectory_rng(7, 0), count=100):
+        for dw in increments(basis, 1e-3, 7, 100):
             assert dw[0] == dw[1] or abs(dw[0] - dw[1]) < 1e-15
             assert abs(null_vec @ dw) < 1e-13
 
@@ -97,29 +99,30 @@ class TestSampleIncrements:
         basis = model_with_covariance(c).noise_basis
         assert basis.active_count == 2
         null_basis = basis.orthogonal[:, basis.eigenvalues == 0.0]
-        for dw in sample_increments(basis, 1e-2, trajectory_rng(8, 0), count=50):
+        for dw in increments(basis, 1e-2, 8, 50):
             assert np.abs(null_basis.T @ dw).max() < 1e-13
 
     def test_variance_scales_with_dt(self):
         basis = model_with_covariance(np.eye(1)).noise_basis
-        rng = trajectory_rng(9, 0)
-        small = sample_increments(basis, 0.5, rng, count=100_000)[:, 0]
-        big = sample_increments(basis, 1.0, rng, count=100_000)[:, 0]
+        small = increments(basis, 0.5, 9, 100_000, index=0)[:, 0]
+        big = increments(basis, 1.0, 9, 100_000, index=1)[:, 0]
         ratio = big.var() / small.var()
         assert abs(ratio - 2.0) < 0.06
 
+    # Only the runners draw increments, and they refuse a bad dt first.
     def test_rejects_nonpositive_dt(self):
-        basis = model_with_covariance(np.eye(1)).noise_basis
-        with pytest.raises(ValueError, match="positive"):
-            sample_increments(basis, 0.0, trajectory_rng(0, 0), count=1)
+        with pytest.raises(ValueError, match="run_trajectory: t_final and dt must be positive"):
+            run_trajectory(preset_model("dephasing"), uniform_superposition(2), 0.01, 0.0,
+                           seed=0)
 
-    @pytest.mark.parametrize("dt", [np.nan, np.inf])
-    def test_rejects_non_finite_dt(self, dt):
-        basis = model_with_covariance(np.eye(1)).noise_basis
-        with pytest.raises(ValueError, match="sample_increments: dt must be positive"):
-            sample_increments(basis, dt, trajectory_rng(0, 0), count=1)
-        with pytest.raises(ValueError, match="sde_step: dt must be positive"):
-            sde_step(preset_model("dephasing"), uniform_superposition(2), dt, np.zeros(1))
+    @pytest.mark.parametrize("dt, error, message", [
+        (np.nan, ValueError, "run_trajectory: t_final and dt must be positive"),
+        (np.inf, NumericalError, "refusing to integrate"),
+    ], ids=["nan", "inf"])
+    def test_rejects_non_finite_dt(self, dt, error, message):
+        with pytest.raises(error, match=message):
+            run_trajectory(preset_model("dephasing"), uniform_superposition(2), 0.01, dt,
+                           seed=0)
 
 
 class TestSdeStep:
@@ -131,7 +134,7 @@ class TestSdeStep:
             covariance=np.eye(1),
         )
         rho = random_density(philox(0), 2)
-        out = sde_step(model, rho, 1e-3, np.array([0.3]))
+        out = _euler_update(model, rho, 1e-3, np.array([0.3]))
         assert frobenius(out - rho) < 1e-15
 
     def test_single_noise_unitary_increment(self):
@@ -145,7 +148,7 @@ class TestSdeStep:
         dt, dw = 1e-3, 0.04
         expected = rho + (-1j * commutator(k, rho)) * dw + (
             -1j * commutator(h, rho) - 0.5 * commutator(k, commutator(k, rho))) * dt
-        out = sde_step(model, rho, dt, np.array([dw]))
+        out = _euler_update(model, rho, dt, np.array([dw]))
         assert frobenius(out - expected) < 1e-13
 
     def test_equals_generator_form(self):
@@ -158,15 +161,15 @@ class TestSdeStep:
         explicit = rho + lindblad_rhs(model, rho) * 1e-3
         for n, v in enumerate(model.lindblad_ops):
             explicit = explicit + model.weights[n] * dw[n] * (v @ rho + rho @ v.conj().T)
-        out = sde_step(model, rho, 1e-3, dw)
+        out = _euler_update(model, rho, 1e-3, dw)
         assert frobenius(out - 0.5 * (explicit + adjoint(explicit))) < 1e-13
 
     def test_trace_preserved_per_step_for_constrained_models(self):
         rng = philox(3)
         model = random_model(rng, 3, 2, anti_hermitian=True)
         rho = random_density(rng, 3)
-        for dw in sample_increments(model.noise_basis, 1e-3, trajectory_rng(11, 0), count=100):
-            out = sde_step(model, rho, 1e-3, dw)
+        for dw in increments(model.noise_basis, 1e-3, 11, 100):
+            out = _euler_update(model, rho, 1e-3, dw)
             assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-13 * 3
             rho = out
 
@@ -181,7 +184,7 @@ class TestSdeStep:
         model = random_model(rng, 2, 2)
         rho = random_density(rng, 2)
         dw = rng.standard_normal(2) * np.sqrt(1e-3)
-        out = sde_step(model, rho, 1e-3, dw)
+        out = _euler_update(model, rho, 1e-3, dw)
         assert frobenius(out - adjoint(out)) == 0.0
         # rebuild the update without the final symmetrization
         raw = rho + lindblad_rhs(model, rho) * 1e-3
@@ -194,15 +197,10 @@ class TestSdeStep:
         model = random_model(rng, 2, 2)
         batch = np.array([random_density(rng, 2) for _ in range(4)])
         dws = rng.standard_normal((4, 2)) * 0.03
-        stacked = sde_step(model, batch, 1e-3, dws)
+        stacked = _euler_update(model, batch, 1e-3, dws)
         for i in range(4):
-            single = sde_step(model, batch[i], 1e-3, dws[i])
+            single = _euler_update(model, batch[i], 1e-3, dws[i])
             assert frobenius(stacked[i] - single) < 1e-14
-
-    def test_shape_validation(self):
-        model = preset_model("dephasing")
-        with pytest.raises(ValueError, match="increment shape"):
-            sde_step(model, uniform_superposition(2), 1e-3, np.zeros(2))
 
 
 def _stacked_euler_reference(model, rho, dt, dw):
@@ -230,26 +228,6 @@ class TestKernelBits:
         assert np.array_equal(_euler_update(model, rho, 1e-3, dw),
                               _stacked_euler_reference(model, rho, 1e-3, dw))
 
-    @pytest.mark.parametrize("name, stepper", [
-        ("two-noise-correlated", "euler"),
-        ("stochastic-unitary-larmor", "euler"),
-        ("stochastic-unitary-larmor", "exact_unitary"),
-    ])
-    def test_run_step_is_the_public_step(self, name, stepper):
-        # the runners' update is the checked public step's kernel, called
-        # with the same arguments
-        model = preset_model(name)
-        rng = philox(42)
-        rho = np.array([random_density(rng, 2) for _ in range(5)])
-        dw = rng.standard_normal((5, model.noise_count)) * 0.03
-        *_, step = _prepare(model, uniform_superposition(2), 0.01, 1e-3, 1, stepper, "run")
-        if stepper == "euler":
-            expected = sde_step(model, rho, 1e-3, dw)
-        else:
-            expected = stochastic_unitary_step(model.hamiltonian, unitary_noise_operator(model),
-                                               rho, 1e-3, dw[:, 0])
-        assert np.array_equal(step(rho, dw), expected)
-
     @pytest.mark.parametrize("model", [
         preset_model("stochastic-unitary-larmor"),
         preset_model("two-noise-correlated"),
@@ -261,8 +239,8 @@ class TestKernelBits:
         chunk = _trajectory_increments(seed, start, count, n_steps, model.noise_basis, dt)
         assert chunk.shape == (count, n_steps, model.noise_count)
         for i in range(count):
-            row = sample_increments(model.noise_basis, dt, trajectory_rng(seed, start + i),
-                                    count=n_steps)
+            normals = trajectory_rng(seed, start + i).standard_normal((n_steps, model.noise_count))
+            row = _correlate(normals, model.noise_basis, dt)
             assert np.array_equal(chunk[i], row)
 
 
@@ -270,13 +248,12 @@ class TestStochasticUnitaryStep:
     def test_zero_increments_do_nothing(self):
         rng = philox(7)
         rho = random_density(rng, 2)
-        out = stochastic_unitary_step(SIGMA_Z, SIGMA_Z, rho, 0.0, 0.0)
+        out = _unitary_update(SIGMA_Z, SIGMA_Z, rho, 0.0, 0.0)
         assert frobenius(out - rho) < 1e-14
 
     def test_purity_preserved(self):
         rho = uniform_superposition(2)
-        out = stochastic_unitary_step(np.zeros((2, 2), complex), SIGMA_Z,
-                                      rho, 1e-3, 0.05)
+        out = _unitary_update(np.zeros((2, 2), complex), SIGMA_Z, rho, 1e-3, 0.05)
         purity = np.trace(out @ out).real
         assert abs(purity - 1.0) < 1e-13
 
@@ -285,7 +262,7 @@ class TestStochasticUnitaryStep:
         rho = random_density(rng, 3)
         h = random_hermitian(rng, 3)
         k = random_hermitian(rng, 3)
-        out = stochastic_unitary_step(h, k, rho, 1e-3, -0.02)
+        out = _unitary_update(h, k, rho, 1e-3, -0.02)
         before = np.linalg.eigvalsh(rho)
         after = np.linalg.eigvalsh(out)
         assert np.abs(before - after).max() < 1e-12
@@ -302,13 +279,9 @@ class TestStochasticUnitaryStep:
             dw = np.sqrt(dt)
             v = np.eye(2) - 1j * k * dw + (-1j * h - 0.5 * k @ k) * dt
             approx = 0.5 * (v @ rho @ adjoint(v) + adjoint(v @ rho @ adjoint(v)))
-            exact = stochastic_unitary_step(h, k, rho, dt, dw)
+            exact = _unitary_update(h, k, rho, dt, dw)
             defects.append(frobenius(exact - approx))
         assert 2.5 <= defects[0] / defects[1] <= 5.7
-
-    def test_rejects_non_hermitian_generator(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            stochastic_unitary_step(SIGMA_MINUS, SIGMA_Z, uniform_superposition(2), 1e-3, 0.0)
 
 
 class TestUnitaryEligibility:
@@ -375,14 +348,6 @@ class TestRunTrajectory:
         with pytest.raises(NumericalError, match=r"trajectory 0: .*t=0.004"):
             run_trajectory(preset_model("dephasing"), uniform_superposition(2), 0.1, 1e-3,
                            seed=2)
-
-    def test_sde_step_overflow_raises(self):
-        # a state at the edge of double range overflows in one step
-        model = preset_model("amplitude-damping")
-        huge = np.eye(2, dtype=complex) * 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="non-finite"):
-                sde_step(model, huge, 1e-3, np.array([1.0]))
 
     def test_warns_in_stiff_region(self):
         model = LindbladModel(
@@ -743,3 +708,48 @@ class TestTrajectoryRng:
     def test_rejects_keys_beyond_64_bits(self, seed, index):
         with pytest.raises(ValueError, match=r"below 2\*\*64"):
             trajectory_rng(seed, index)
+
+    @pytest.mark.parametrize("seed, index", [(1.5, 0), (0, 0.5), (np.float64(1.0), 0)])
+    def test_rejects_non_integer_keys(self, seed, index):
+        # truncating would hand out the stream of another key
+        with pytest.raises(TypeError):
+            trajectory_rng(seed, index)
+
+    @pytest.mark.parametrize("seed, index", [(np.uint64(2**64 - 1), np.uint64(3)),
+                                             (np.int64(7), np.int64(2))])
+    def test_numpy_integer_keys_keep_their_stream(self, seed, index):
+        expected = trajectory_rng(int(seed), int(index)).standard_normal(100)
+        assert np.array_equal(trajectory_rng(seed, index).standard_normal(100), expected)
+
+
+class TestRunnerKeys:
+    """Seeds, trajectory indices and counts are integers at every entry point."""
+
+    ARGS = (preset_model("dephasing"), uniform_superposition(2), 0.002, 1e-3)
+
+    @pytest.mark.parametrize("keys", [{"seed": 1.5}, {"traj_index": 0.5}],
+                             ids=["seed", "traj_index"])
+    def test_run_trajectory_rejects_floats(self, keys):
+        with pytest.raises(TypeError):
+            run_trajectory(*self.ARGS, **{"seed": 1, **keys})
+
+    @pytest.mark.parametrize("keys", [{"seed": 1.5}, {"n_traj": 4.0}],
+                             ids=["seed", "n_traj"])
+    def test_run_ensemble_rejects_floats(self, keys):
+        with pytest.raises(TypeError):
+            run_ensemble(*self.ARGS, **{"n_traj": 4, "seed": 1, **keys})
+
+    def test_boolean_count_is_one_trajectory(self):
+        stats, _ = run_ensemble(*self.ARGS, n_traj=True, seed=1)
+        assert stats.trajectory_count == 1 and type(stats.trajectory_count) is int
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7)])
+    def test_numpy_integer_seeds_keep_their_ensemble(self, seed):
+        expected, _ = run_ensemble(*self.ARGS, n_traj=5, seed=int(seed))
+        stats, _ = run_ensemble(*self.ARGS, n_traj=np.int64(5), seed=seed)
+        assert np.array_equal(stats.mean_state, expected.mean_state)
+        assert np.array_equal(stats.stderr, expected.stderr)
+        assert stats.seed == int(seed) and type(stats.seed) is int
+        traj = run_trajectory(*self.ARGS, seed=seed, traj_index=np.uint64(4))
+        alone = run_trajectory(*self.ARGS, seed=int(seed), traj_index=4)
+        assert np.array_equal(traj.states, alone.states)
