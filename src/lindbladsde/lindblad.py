@@ -289,6 +289,15 @@ def time_grid(t_final: float, dt: float, record_every: int, name: str):
     return n, np.arange(0, n + 1, record_every) * dt
 
 
+def _initial_state(model: LindbladModel, rho0: np.ndarray, name: str) -> np.ndarray:
+    """rho0 as a complex density matrix, checked against the model's dimension."""
+    rho = np.array(check_density_matrix(rho0), dtype=complex)
+    if rho.shape != (model.dim, model.dim):
+        raise ValueError(f"{name}: rho0 has shape {rho.shape}, but the model's states "
+                         f"are {(model.dim, model.dim)}")
+    return rho
+
+
 def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
                   dt: float, record_every: int = 1) -> OdeTrajectory:
     """Fixed-step classical 4th-order integration of the mean evolution.
@@ -299,7 +308,7 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
     projection. Raises NumericalError when a step produces non-finite
     entries, which signals that dt is too large for the model norms.
     """
-    rho = np.array(check_density_matrix(rho0), dtype=complex)
+    rho = _initial_state(model, rho0, "integrate_ode")
     n_steps, times = time_grid(t_final, dt, record_every, "integrate_ode")
 
     states = [rho]

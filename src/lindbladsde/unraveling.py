@@ -13,7 +13,13 @@ both are monitored and reported, never enforced.
 
 The update is computed in one place, the kernels _euler_update and
 _unitary_update, which _prepare resolves once per run from the stepper
-name; run_trajectory and run_ensemble are the public ways to step.
+name; run_trajectory and run_ensemble are the public ways to step. Both
+are one driver, _run_range, over a range of trajectory indices: one
+trajectory, or all n_traj of an ensemble. The driver cuts the range into
+fixed-size chunks, and each chunk reports one record, _ChunkSums: the sums
+of its recorded states and squared norms, its trace extremes and its
+smallest eigenvalue. That record is all that crosses the worker boundary,
+and the records are merged in chunk order.
 
 Randomness contract: increments come from the counter-based Philox
 generator keyed by (seed, trajectory index), drawn in step order within a
@@ -21,9 +27,10 @@ trajectory. Trajectory i therefore receives the same noise no matter how
 trajectories are scheduled, and ensemble reductions run in a fixed
 trajectory-index order with a fixed chunk size, so results are
 bit-reproducible for a given (seed, n_traj, dt, model) regardless of the
-worker count. run_ensemble evaluates the chunks in forked worker processes,
-one per usable CPU up to the chunk count; the workers=n thread pool is kept
-only because the benchmark's own tests pin it.
+worker count. _map_chunks evaluates the chunks in forked worker processes,
+one per usable CPU up to the chunk count; run_ensemble's workers=n thread
+pool, which it also runs, is kept only because the benchmark's own tests
+pin it.
 """
 
 from __future__ import annotations
@@ -42,13 +49,13 @@ from .lindblad import (
     LindbladModel,
     NoiseBasis,
     NumericalError,
+    _initial_state,
     check_step_size,
     drift_operator,
     time_grid,
 )
 from .operators import (
     adjoint,
-    check_density_matrix,
     check_hermitian,
     hermitian_part,
     min_eigenvalues,
@@ -241,57 +248,72 @@ def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
     return _correlate(xi, basis, dt)
 
 
-def _recorded_sums(rho: np.ndarray):
-    """Sum, summed squared Frobenius norm and smallest eigenvalue of a chunk."""
-    return (rho.sum(axis=0),
-            float(np.einsum("kab,kab->", rho, rho.conj()).real),
-            float(min_eigenvalues(rho).min()))
+@dataclass(frozen=True)
+class _ChunkSums:
+    """What a chunk of trajectories reports: the only result of _run_chunk.
+
+    states and sq_norms sum the chunk's recorded states (T, d, d) and their
+    squared Frobenius norms (T,); the trace extremes cover every step and
+    min_eigenvalue the recorded samples. It is all that crosses the worker
+    boundary.
+    """
+
+    states: np.ndarray
+    sq_norms: np.ndarray
+    trace_min: float
+    trace_max: float
+    min_eigenvalue: float
+
+    def merge(self, later: _ChunkSums) -> _ChunkSums:
+        """Both chunks' sums, this one first, as the chunk-order reduction."""
+        return _ChunkSums(self.states + later.states, self.sq_norms + later.sq_norms,
+                          min(self.trace_min, later.trace_min),
+                          max(self.trace_max, later.trace_max),
+                          min(self.min_eigenvalue, later.min_eigenvalue))
 
 
 def _run_chunk(step, rho0, basis, dt, n_steps, record_every, seed, start,
-               count):
+               count) -> _ChunkSums:
     """Evolve trajectories [start, start+count) together: the one time loop.
 
     step(rho, dw) is the run's update from _prepare, applied to the whole
     chunk with the (count, N) increments of one step; basis and dt give the
-    increments. Returns the recorded state sums (T, d, d), the summed
-    squared norms (T,), the trace extremes over every step and the smallest
-    recorded eigenvalue.
+    increments. Step 0 is the initial state, which is recorded like every
+    record_every-th step after it.
     """
     rho = np.broadcast_to(rho0, (count, *rho0.shape)).astype(complex)
     dw = _trajectory_increments(seed, start, count, n_steps, basis, dt)
 
-    recorded = [_recorded_sums(rho)]
-    traces = np.einsum("kaa->k", rho).real
-    trace_min = float(traces.min())
-    trace_max = float(traces.max())
-    for k in range(n_steps):
-        rho = step(rho, dw[:, k, :])
-        finite = np.all(np.isfinite(rho), axis=(-1, -2))
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
-            raise NumericalError(
-                f"trajectory {start + bad}: non-finite state at t={(k + 1) * dt:g}"
-            )
+    states, sq_norms, min_eig = [], [], np.inf
+    trace_min, trace_max = np.inf, -np.inf
+    for k in range(n_steps + 1):
+        if k:
+            rho = step(rho, dw[:, k - 1, :])
+            bad = np.flatnonzero(~np.isfinite(rho).all(axis=(-1, -2)))
+            if bad.size:
+                raise NumericalError(
+                    f"trajectory {start + bad[0]}: non-finite state at t={k * dt:g}")
         traces = np.einsum("kaa->k", rho).real
         trace_min = min(trace_min, float(traces.min()))
         trace_max = max(trace_max, float(traces.max()))
-        if (k + 1) % record_every == 0:
-            recorded.append(_recorded_sums(rho))
-    state_sum, sq_sum, min_eigs = zip(*recorded)
-    return np.array(state_sum), np.array(sq_sum), trace_min, trace_max, min(min_eigs)
+        if k % record_every == 0:
+            states.append(rho.sum(axis=0))
+            sq_norms.append(float(np.einsum("kab,kab->", rho, rho.conj()).real))
+            min_eig = min(min_eig, float(min_eigenvalues(rho).min()))
+    return _ChunkSums(np.array(states), np.array(sq_norms), trace_min, trace_max, min_eig)
 
 
 def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
-    """Checks, time grid and step update shared by both runners.
+    """Checks, time grid and step update of a run, for the driver _run_range.
 
     The one place a stepper name becomes an update: step(rho, dw) advances
     stacked states rho (..., d, d) by dt with increments dw (..., N), using
-    the kernel _euler_update or _unitary_update. rho0, the stepper, dt and
-    the exact-unitary noise operator are checked here, once per run, so the
-    kernels check nothing. Returns (rho0, n_steps, record times, step).
+    the kernel _euler_update or _unitary_update. rho0 (against the model's
+    dimension too), the stepper, dt and the exact-unitary noise operator
+    are checked here, once per run, so the kernels check nothing. Returns
+    (rho0, n_steps, record times, step).
     """
-    rho0 = np.array(check_density_matrix(rho0), dtype=complex)
+    rho0 = _initial_state(model, rho0, name)
     if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
     check_step_size(model, dt)
@@ -307,30 +329,6 @@ def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
     return rho0, n_steps, times, step
 
 
-def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
-                   dt: float, seed: int, traj_index: int = 0,
-                   record_every: int = 1, stepper: str = "euler") -> Trajectory:
-    """Integrate a single stochastic trajectory.
-
-    This is the one-trajectory chunk of :func:`run_ensemble`, so the result
-    is bit-identical to trajectory ``traj_index`` of an ensemble run with
-    the same seed.
-    """
-    rho0, n_steps, times, step = _prepare(
-        model, rho0, t_final, dt, record_every, stepper, "run_trajectory")
-    # a sum over one trajectory is that trajectory
-    states, _, trace_min, trace_max, min_eig = _run_chunk(
-        step, rho0, model.noise_basis, dt, n_steps, record_every, seed,
-        traj_index, 1)
-    return Trajectory(
-        times=times,
-        states=states,
-        trace_extremes=(trace_min, trace_max),
-        min_eigenvalue_seen=min_eig,
-        purity_series=purities(states),
-    )
-
-
 def _process_count(jobs: list) -> int:
     """Worker processes worth forking for jobs; 1 means run them here.
 
@@ -344,14 +342,21 @@ def _process_count(jobs: list) -> int:
     return min(len(jobs), len(os.sched_getaffinity(0)))
 
 
-def _map_chunks(work, jobs: list) -> list:
+def _map_chunks(work, jobs: list, workers: int = 1) -> list:
     """[work(job) for job in jobs], in forked worker processes when it pays.
 
-    work reaches the workers through fork, not pickling; only the jobs and
-    the results are pickled. Results come back in job order, so the first
-    exception raised is that of the lowest-index failing job, as in the
-    serial loop.
+    The one place that chooses how chunks run. workers above 1 selects a
+    thread pool of that size instead of processes; it measured slower than
+    serial chunks on every preset of a 2-vCPU machine and is kept only
+    because the benchmark's own tests pin it. Otherwise work reaches the
+    worker processes through fork, not pickling; only the jobs and the
+    results are pickled. Results come back in job order either way, so the
+    first exception raised is that of the lowest-index failing job, as in
+    the serial loop.
     """
+    if workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, jobs))
     processes = _process_count(jobs)
     if processes > 1:
         import multiprocessing  # only a run that forks pays for the import
@@ -376,6 +381,47 @@ def _set_worker_work(work) -> None:
 
 def _worker_job(job):
     return _worker_work(job)
+
+
+def _run_range(model, rho0, t_final, dt, record_every, stepper, name, seed,
+               start, count, workers=1):
+    """Record times and merged _ChunkSums of trajectories [start, start+count).
+
+    The one driver of both runners. The last trajectory's key is checked
+    before any work, then _prepare runs once, the range is cut into
+    _CHUNK_TRAJECTORIES-trajectory jobs from start, and _map_chunks runs
+    them. Their records are merged in chunk order, so the result is the
+    same however the jobs ran.
+    """
+    _check_key(seed, start + count - 1)
+    rho0, n_steps, times, step = _prepare(
+        model, rho0, t_final, dt, record_every, stepper, name)
+    jobs = [(s, min(_CHUNK_TRAJECTORIES, start + count - s))
+            for s in range(start, start + count, _CHUNK_TRAJECTORIES)]
+
+    def work(job):
+        return _run_chunk(step, rho0, model.noise_basis, dt, n_steps,
+                          record_every, seed, *job)
+
+    return times, functools.reduce(_ChunkSums.merge, _map_chunks(work, jobs, workers))
+
+
+def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
+                   dt: float, seed: int, traj_index: int = 0,
+                   record_every: int = 1, stepper: str = "euler") -> Trajectory:
+    """Integrate a single stochastic trajectory.
+
+    This is the one-trajectory range of :func:`run_ensemble`'s driver, so
+    the result is bit-identical to trajectory ``traj_index`` of an ensemble
+    run with the same seed.
+    """
+    # a sum over one trajectory is that trajectory
+    times, sums = _run_range(model, rho0, t_final, dt, record_every, stepper,
+                             "run_trajectory", seed, operator.index(traj_index), 1)
+    return Trajectory(times=times, states=sums.states,
+                      trace_extremes=(sums.trace_min, sums.trace_max),
+                      min_eigenvalue_seen=sums.min_eigenvalue,
+                      purity_series=purities(sums.states))
 
 
 def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
@@ -414,37 +460,20 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     n_traj = operator.index(n_traj)
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    seed, _ = _check_key(seed, n_traj - 1)
-    rho0, n_steps, times, step = _prepare(
-        model, rho0, t_final, dt, record_every, stepper, "run_ensemble")
-
-    jobs = [(s, min(_CHUNK_TRAJECTORIES, n_traj - s))
-            for s in range(0, n_traj, _CHUNK_TRAJECTORIES)]
-
-    def work(job):
-        start, count = job
-        return _run_chunk(step, rho0, model.noise_basis, dt, n_steps,
-                          record_every, seed, start, count)
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, jobs))
-    else:
-        partials = _map_chunks(work, jobs)
-
-    # reduced in chunk order whatever the worker count; sum() starts from
-    # the integer 0, which rounds like adding into zeros
-    state_sums, sq_sums, trace_mins, trace_maxs, min_eigs = zip(*partials)
-    mean = sum(state_sums) / n_traj
+    times, sums = _run_range(model, rho0, t_final, dt, record_every, stepper,
+                             "run_ensemble", seed, 0, n_traj, workers)
+    # one 0 + on the chunk-order fold gives the bits of summing the chunks
+    # from the integer 0: a -0.0 in every chunk's sum comes out +0.0.
+    # Squared norms are never -0.0, so they need none.
+    mean = (0 + sums.states) / n_traj
     mean_sq = np.einsum("tab,tab->t", mean, mean.conj()).real
     if n_traj > 1:
-        variance = np.maximum(sum(sq_sums) - n_traj * mean_sq, 0.0) / (n_traj - 1)
+        variance = np.maximum(sums.sq_norms - n_traj * mean_sq, 0.0) / (n_traj - 1)
         stderr = np.sqrt(variance / n_traj)
     else:
         stderr = np.zeros(len(times))
     stats = EnsembleStats(times=times, mean_state=mean, stderr=stderr,
-                          trajectory_count=n_traj, seed=seed)
-    diagnostics = EnsembleDiagnostics(trace_min=min(trace_mins),
-                                      trace_max=max(trace_maxs),
-                                      min_eigenvalue=min(min_eigs))
+                          trajectory_count=n_traj, seed=operator.index(seed))
+    diagnostics = EnsembleDiagnostics(trace_min=sums.trace_min, trace_max=sums.trace_max,
+                                      min_eigenvalue=sums.min_eigenvalue)
     return stats, diagnostics

@@ -77,10 +77,12 @@ def random_qutrit_model():
                          weights=base.weights, covariance=base.covariance)
 
 
-# (model, t_final, dt): 50 Euler steps each. The ensemble seeds are fixed in
-# CASES order before any run, not searched for.
+# (model, t_final, dt): 50 Euler steps each, and 200 finer steps of
+# dephasing. The ensemble seeds are fixed in CASES order before any run, not
+# searched for.
 CASES = {name: (preset_model(name), 1.0, 0.02) for name in PRESET_NAMES}
 CASES["random-qutrit"] = (random_qutrit_model(), 0.5, 0.01)
+CASES["dephasing-fine-step"] = (preset_model("dephasing"), 0.2, 1e-3)
 SEEDS = dict(zip(CASES, range(12_001, 12_001 + len(CASES))))
 
 

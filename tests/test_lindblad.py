@@ -367,6 +367,10 @@ class TestIntegrateOde:
         with pytest.raises(ValueError, match="record_every"):
             integrate_ode(model, uniform_superposition(2), 1.0, 1e-2, record_every=7)
 
+    def test_rejects_initial_state_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"integrate_ode: rho0 has shape \(3, 3\).*\(2, 2\)"):
+            integrate_ode(preset_model("dephasing"), np.eye(3) / 3, 0.01, 1e-3)
+
     def test_blowup_raises_numerical_error(self):
         # strong decay stepped at dt=1 sits far outside the stability
         # region, so the iteration amplifies until entries overflow

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from lindbladsde.operators import (
 )
 from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model, uniform_superposition
 from lindbladsde.unraveling import (
+    _ChunkSums,
     _correlate,
     _euler_update,
     _trajectory_increments,
@@ -427,25 +429,6 @@ class TestRunEnsemble:
         errors = np.abs(stats.mean_state[:, 0, 1] - expected)
         assert np.all(errors <= np.maximum(3.0 * stats.stderr, 0.02))
 
-    def test_mean_field_recursion_consistency(self):
-        # the scheme is linear in the state, so the exact expectation obeys
-        # the deterministic one-step recursion; the Monte Carlo mean must
-        # track it within sampling error at every recorded time
-        model = preset_model("dephasing")
-        stats, _ = run_ensemble(model, uniform_superposition(2), 0.2, 1e-3, 100_000,
-                                seed=2024, record_every=20)
-        rho = uniform_superposition(2)
-        recursion = [rho]
-        for k in range(200):
-            rho = rho + lindblad_rhs(model, rho) * 1e-3
-            rho = 0.5 * (rho + adjoint(rho))
-            if (k + 1) % 20 == 0:
-                recursion.append(rho)
-        recursion = np.array(recursion)
-        for t_idx in range(len(stats.times)):
-            gap = frobenius(stats.mean_state[t_idx] - recursion[t_idx])
-            assert gap <= max(4.0 * stats.stderr[t_idx], 1e-12)
-
     def test_stats_invariants(self):
         model = preset_model("amplitude-damping")
         stats, diag = run_ensemble(model, uniform_superposition(2), 0.5, 1e-3, 3000, seed=5,
@@ -654,6 +637,63 @@ class TestChunkProcesses:
         assert after == "False"
 
 
+class TestChunkSums:
+    """The chunk record and its chunk-order merge round like the sums they replaced."""
+
+    @staticmethod
+    def signed_zero_records():
+        # entry 0 is -0.0 in every chunk, entry 1 in the first chunk only,
+        # entry 2 in the last only; entry 3 sums to 1.0 in chunk order and
+        # to 1.0 + 2**-52 in the reverse order
+        parts = [np.array([-0.0, -0.0, 0.0, 1.0]), np.array([-0.0, 0.0, 0.0, 1e-16]),
+                 np.array([-0.0, 0.0, -0.0, 1e-16])]
+        states = [np.array(p, dtype=complex).reshape(1, 2, 2) for p in parts]
+        for s, p in zip(states, parts):
+            s.imag = p[::-1].reshape(1, 2, 2)  # set, not added, to keep the signs
+        sq_norms = [np.array([0.0]), np.array([2.5]), np.array([1e-300])]
+        extremes = [(1.0, 1.25, -0.5), (0.5, 1.0, -0.5), (0.5, 1.5, -1.0)]
+        return [_ChunkSums(s, q, *e) for s, q, e in zip(states, sq_norms, extremes)]
+
+    def test_merge_keeps_the_bits_of_the_sum_from_zero(self):
+        records = self.signed_zero_records()
+        merged = functools.reduce(_ChunkSums.merge, records)
+        expected = sum(r.states for r in records)  # from the integer 0
+        # the fold alone leaves the all-negative zero; one 0 + then gives
+        # the bits of the sum from 0, sign of zero included
+        assert np.signbit(merged.states.real[0, 0, 0]) and np.signbit(merged.states.imag[0, 1, 1])
+        got = 0 + merged.states
+        assert np.array_equal(got, expected)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(expected, part)))
+        assert not np.signbit(got.real).ravel()[:3].any()
+        assert np.array_equal(merged.sq_norms, sum(r.sq_norms for r in records))
+        assert (merged.trace_min, merged.trace_max, merged.min_eigenvalue) == (0.5, 1.5, -1.0)
+
+    def test_runners_report_the_merged_record(self, monkeypatch):
+        # three chunks of fabricated sums through the real driver: the
+        # ensemble mean is the sum from 0 over n_traj, a trajectory is its
+        # one chunk's record as it stands
+        import lindbladsde.unraveling as unr
+
+        records = self.signed_zero_records()
+        times = 3  # 0.002 / 1e-3 steps, every one recorded
+        records = [_ChunkSums(np.repeat(r.states, times, axis=0), np.repeat(r.sq_norms, times),
+                              r.trace_min, r.trace_max, r.min_eigenvalue) for r in records]
+        monkeypatch.setattr(unr, "_run_chunk", lambda *args: records[args[-2] // 4096])
+        usable_cpus(monkeypatch, {0})
+        model, rho0 = preset_model("dephasing"), uniform_superposition(2)
+        stats, diag = run_ensemble(model, rho0, 0.002, 1e-3, THREE_CHUNKS, seed=0)
+        expected = sum(r.states for r in records) / THREE_CHUNKS
+        assert np.array_equal(stats.mean_state, expected)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(stats.mean_state, part)),
+                                  np.signbit(getattr(expected, part)))
+        assert (diag.trace_min, diag.trace_max, diag.min_eigenvalue) == (0.5, 1.5, -1.0)
+        traj = run_trajectory(model, rho0, 0.002, 1e-3, seed=0, traj_index=4096)
+        assert traj.states is records[1].states
+        assert (traj.trace_extremes, traj.min_eigenvalue_seen) == ((0.5, 1.0), -0.5)
+
+
 class TestTrajectoryRng:
     def test_streams_differ_between_trajectories(self):
         a = trajectory_rng(0, 0).standard_normal(8)
@@ -753,3 +793,13 @@ class TestRunnerKeys:
         traj = run_trajectory(*self.ARGS, seed=seed, traj_index=np.uint64(4))
         alone = run_trajectory(*self.ARGS, seed=int(seed), traj_index=4)
         assert np.array_equal(traj.states, alone.states)
+        traj = run_trajectory(*self.ARGS, seed=seed, traj_index=np.uint64(2**64 - 1))
+        alone = run_trajectory(*self.ARGS, seed=int(seed), traj_index=2**64 - 1)
+        assert np.array_equal(traj.states, alone.states)
+
+
+@pytest.mark.parametrize("runner, args", [(run_trajectory, ()), (run_ensemble, (2,))],
+                         ids=["run_trajectory", "run_ensemble"])
+def test_rho0_of_another_dimension_is_refused(runner, args):
+    with pytest.raises(ValueError, match=rf"{runner.__name__}: rho0 has shape \(3, 3\).*\(2, 2\)"):
+        runner(preset_model("dephasing"), np.eye(3) / 3, 0.01, 1e-3, *args, seed=0)
