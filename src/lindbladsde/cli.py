@@ -15,15 +15,24 @@ weights may be omitted when there is exactly one operator (defaults to
 expected, the name of a built-in preset is accepted too, unless a file of
 that name exists.
 
-Exit codes: 0 success, 1 usage error, 2 invalid model, 3 numerical
-failure, 4 derivation mismatch. A failing subcommand never writes to its
-output path.
+Exit codes: 0 success, 1 usage error (an --out that cannot be written
+included), 2 invalid model, 3 numerical failure, 4 derivation mismatch.
+
+ode, sde and choi write their CSV to a temporary file next to --out and
+move it onto --out with an atomic replace, so a failing subcommand leaves
+its output path as it was. A device or a pipe, such as /dev/stdout, is
+written in place. The CSV of a recorded series is streamed one block of
+rows at a time: besides the series itself and its per-row trace,
+eigenvalue and purity columns, it holds one block of rows as numbers and
+one row as text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -139,35 +148,70 @@ def _format(x: float) -> str:
     return repr(float(x))
 
 
-def _states_csv(times, states, stderr=None) -> str:
-    """The recorded series as CSV, one row per recorded time.
+# Rows per block of _states_csv. Besides the recorded series and its (T,)
+# columns, the CSV holds one block's re/im table, so memory does not grow
+# with the horizon.
+_CSV_BLOCK_ROWS = 128
+
+
+def _states_csv(times, states, stderr=None):
+    """The recorded series as CSV lines, one row per recorded time.
 
     Columns: time; the real and imaginary part of every entry of rho in
     row-major order; the trace, smallest eigenvalue and purity of rho; and
-    stderr when given.
+    stderr when given. Yields the header and then every row, each ending
+    in a newline, building the re/im table one block of rows at a time.
     """
     d = states.shape[-1]
     header = ["time",
               *(f"rho_{i}_{j}_{part}" for i, j in np.ndindex(d, d) for part in ("re", "im")),
               "trace_re", "min_eigenvalue", "purity"]
-    entries = states.reshape(len(times), -1)
-    parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(times), -1)
-    columns = [times, parts, np.trace(states, axis1=-2, axis2=-1).real,
+    # over the whole series at once: a batch of another size may round differently
+    scalars = [np.trace(states, axis1=-2, axis2=-1).real,
                min_eigenvalues(states), purities(states)]
     if stderr is not None:
         header.append("stderr")
-        columns.append(stderr)
-    lines = [",".join(header)]
-    # repr of a Python float is _format of the numpy one. One row at a time:
-    # a whole-table tolist() holds every entry as a Python float at once.
-    lines += [",".join(map(repr, row.tolist())) for row in np.column_stack(columns)]
-    return "\n".join(lines) + "\n"
+        scalars.append(stderr)
+    yield ",".join(header) + "\n"
+    for start in range(0, len(times), _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        entries = states[block].reshape(-1, d * d)
+        parts = np.stack([entries.real, entries.imag], axis=-1).reshape(-1, 2 * d * d)
+        # repr of a Python float is _format of the numpy one. One row at a
+        # time: a whole-block tolist() holds every entry as a Python float.
+        for row in np.column_stack([times[block], parts, *(c[block] for c in scalars)]):
+            yield ",".join(map(repr, row.tolist())) + "\n"
 
 
-def _write_output(path: str, content: str) -> None:
-    # Content is fully built before the file is opened, so a failed
-    # computation never leaves a partial file behind.
-    Path(path).write_text(content)
+def _write_output(path: str, lines) -> None:
+    """Write lines to path through a temporary file next to it.
+
+    The temporary file replaces path atomically once every line is written,
+    so a failure before or during the write leaves path as it was and
+    removes the temporary file. A device or a pipe, such as /dev/null or
+    /dev/stdout, is written in place. An unwritable path is a usage error.
+    """
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            # a rename would replace the device itself; a directory fails to open
+            _write_lines(path, lines)
+            return
+        target = os.path.realpath(path)
+        temporary = f"{target}.{os.getpid()}.tmp"
+        try:
+            _write_lines(temporary, lines)
+            os.replace(temporary, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temporary)
+            raise
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
+def _write_lines(path: str, lines) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
 
 
 def cmd_check(args) -> int:
@@ -183,8 +227,7 @@ def cmd_ode(args) -> int:
     model = parse_model(args.model)
     trajectory = integrate_ode(model, uniform_superposition(model.dim),
                                args.t_final, args.dt, args.record_every)
-    content = _states_csv(trajectory.times, trajectory.states)
-    _write_output(args.out, content)
+    _write_output(args.out, _states_csv(trajectory.times, trajectory.states))
     return EXIT_OK
 
 
@@ -198,8 +241,7 @@ def cmd_sde(args) -> int:
         args.trajectories, args.seed, args.record_every,
         args.stepper.replace("-", "_"),
     )
-    content = _states_csv(stats.times, stats.mean_state, stats.stderr)
-    _write_output(args.out, content)
+    _write_output(args.out, _states_csv(stats.times, stats.mean_state, stats.stderr))
     print(f"trajectories={stats.trajectory_count} seed={stats.seed} "
           f"trace_extremes=({diagnostics.trace_min:.6g}, {diagnostics.trace_max:.6g}) "
           f"min_eigenvalue={diagnostics.min_eigenvalue:.6g}", file=sys.stderr)
@@ -234,7 +276,7 @@ def cmd_derive(args) -> int:
 def cmd_choi(args) -> int:
     model = parse_model(args.model)
     root = np.sqrt(args.dt)
-    lines = ["dw_scale,index,eigenvalue"]
+    lines = ["dw_scale,index,eigenvalue\n"]
     for scale in (0.0, 1.0, -1.0):
         dw = np.full(model.noise_count, scale * root)
         choi = choi_of(build_infinitesimal_kraus(model, args.dt, dw))
@@ -244,8 +286,8 @@ def cmd_choi(args) -> int:
             )
         eigenvalues = np.linalg.eigvalsh(choi)
         for idx, value in enumerate(eigenvalues):
-            lines.append(f"{_format(scale)},{idx},{_format(value)}")
-    _write_output(args.out, "\n".join(lines) + "\n")
+            lines.append(f"{_format(scale)},{idx},{_format(value)}\n")
+    _write_output(args.out, lines)
     return EXIT_OK
 
 

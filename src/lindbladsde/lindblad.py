@@ -311,7 +311,8 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
     rho = _initial_state(model, rho0, "integrate_ode")
     n_steps, times = time_grid(t_final, dt, record_every, "integrate_ode")
 
-    states = [rho]
+    states = np.empty((len(times), *rho.shape), dtype=complex)
+    states[0] = rho
     for k in range(n_steps):
         k1 = _rhs(model, rho)
         k2 = _rhs(model, rho + (0.5 * dt) * k1)
@@ -325,8 +326,8 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
                 f"dt={dt!r} is too large for this model"
             )
         if (k + 1) % record_every == 0:
-            states.append(rho)
-    return OdeTrajectory(times=times, states=np.array(states))
+            states[(k + 1) // record_every] = rho
+    return OdeTrajectory(times=times, states=states)
 
 
 def check_step_size(model: LindbladModel, dt: float) -> None:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,13 @@ from lindbladsde.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _CSV_BLOCK_ROWS,
     _format,
     _states_csv,
     main,
     parse_model,
 )
+from lindbladsde.lindblad import NumericalError
 from lindbladsde.operators import min_eigenvalues, purities
 from lindbladsde.presets import PRESET_NAMES
 from test_golden_csv import QUDIT8_MODEL
@@ -351,8 +355,9 @@ class TestStatesCsv:
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("with_stderr", [False, True])
-    @pytest.mark.parametrize("rows", [1, 9])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 9, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_bytes_of_the_scalar_formatter(self, dim, rows, with_stderr):
         rng = philox(100 * dim + rows)
         special = np.array([-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.0, 3.0, -2.0,
@@ -369,7 +374,8 @@ class TestStatesCsv:
         states = 0.5 * (states + states.conj().swapaxes(-1, -2))  # eigvalsh reads Hermitian
         stderr = table(rows) if with_stderr else None
         with np.errstate(all="ignore"):  # squares of 1e300 overflow the purity
-            assert _states_csv(times, states, stderr) == self.reference(times, states, stderr)
+            csv = "".join(_states_csv(times, states, stderr))
+            assert csv == self.reference(times, states, stderr)
 
 
 class TestDeriveCommand:
@@ -405,6 +411,95 @@ class TestNumericalFailure:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+
+# One fast successful run of each command that writes --out.
+WRITERS = {
+    "ode": ["ode", "--model", "dephasing", "--t-final", "0.02", "--dt", "1e-3"],
+    "sde": ["sde", "--model", "dephasing", "--t-final", "0.02", "--dt", "1e-3",
+            "--trajectories", "8"],
+    "choi": ["choi", "--model", "dephasing", "--dt", "1e-3"],
+}
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_one_line_usage_error(self, tmp_path, capsys, command, target):
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / target / ("x.csv" if target == "missing-directory" else "")
+        assert main([*WRITERS[command], "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"usage error: cannot write --out {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+        assert list((tmp_path / "directory").iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_success_replaces_an_existing_file(self, tmp_path, command):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        assert main([*WRITERS[command], "--out", str(out)]) == EXIT_OK
+        assert out.read_text().startswith(("time,", "dw_scale,"))
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("command", ["ode", "choi"])
+    def test_pipe_is_written_in_place(self, tmp_path, capsys, command):
+        # like /dev/null or /dev/stdout, a pipe must not be replaced by a file
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert main([*WRITERS[command], "--out", str(pipe)]) == EXIT_OK
+        reader.join(timeout=20)
+        assert received and received[0].startswith((b"time,", b"dw_scale,"))
+        assert list(tmp_path.iterdir()) == [pipe] and pipe.is_fifo()
+
+    def test_numerical_failure_keeps_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "mean.csv"
+        out.write_bytes(b"old bytes\n")
+        code = main(["sde", "--model", "dephasing", "--t-final", "3.0",
+                     "--dt", "1.5", "--trajectories", "4", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert out.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("command", ["ode", "sde"])
+    def test_failure_mid_stream_keeps_an_existing_file(self, tmp_path, monkeypatch,
+                                                       capsys, command):
+        import lindbladsde.cli as cli
+
+        written = []
+
+        def failing(times, states, stderr=None):
+            yield "time\n"
+            written.append(True)
+            raise NumericalError("failed after the header")
+
+        monkeypatch.setattr(cli, "_states_csv", failing)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old bytes\n")
+        assert main([*WRITERS[command], "--out", str(out)]) == EXIT_NUMERICAL
+        assert written  # the writer had taken the header
+        assert "failed after the header" in capsys.readouterr().err
+        assert out.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path, capsys):
+        # 20 001 recorded 2x2 states, 1.3 MB; their CSV is 3.3 MB of text, which
+        # a writer that joins the whole table before writing holds several times
+        states_bytes = 20_001 * 2 * 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            code = main(["ode", "--model", "dephasing", "--t-final", "20.0",
+                         "--dt", "1e-3", "--out", str(tmp_path / "long.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 3 * states_bytes
 
 
 class TestChoiCommand:

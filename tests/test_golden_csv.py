@@ -85,6 +85,12 @@ RUNS = {
     "sde-qutrit-rank2-file": ["sde", "--model", "qutrit.json", *SDE],
     "ode-qudit8-file": ["ode", "--model", "qudit8.json", "--t-final", "0.2",
                         "--dt", "0.01", "--record-every", "2"],
+    # 601 rows each: several blocks of the CSV writer
+    "ode-dephasing-multiblock": ["ode", "--model", "dephasing", "--t-final", "0.6",
+                                 "--dt", "1e-3"],
+    "sde-dephasing-multiblock": ["sde", "--model", "dephasing", "--t-final", "0.6",
+                                 "--dt", "1e-3", "--trajectories", "64",
+                                 "--record-every", "1"],
 }
 
 GOLDEN_SHA256 = {
@@ -100,6 +106,10 @@ GOLDEN_SHA256 = {
         "c91363141670e2a8ab7ef8f46c73b7dcbf85e2bf1c75e1b49ec529f82e13634b",
     "ode-qudit8-file":
         "4db529c45d292a4d878c4e3d17bb04ebfae7bc9deb8d11a7f0413a27836a4fe1",
+    "ode-dephasing-multiblock":
+        "669a29a3b5be48369b30d4b04770441c5ae80e5b446355bee81f6fbe9409513c",
+    "sde-dephasing-multiblock":
+        "3a5de01ed560c6ec465c105552c7c8e62a5a117d37f1fc1868e8bcc3a080c86a",
 }
 
 
