@@ -18,10 +18,11 @@ that name exists.
 Exit codes: 0 success, 1 usage error (an --out that cannot be written
 included), 2 invalid model, 3 numerical failure, 4 derivation mismatch.
 
-ode, sde and choi write their CSV to a temporary file next to --out and
-move it onto --out with an atomic replace, so a failing subcommand leaves
-its output path as it was. A device or a pipe, such as /dev/stdout, is
-written in place. The CSV of a recorded series is streamed one block of
+ode, sde and choi open a temporary file next to --out before they
+compute, so an unwritable --out fails at once, and move it onto --out with
+an atomic replace, so a failing subcommand leaves its output path as it
+was. The replaced file's permission bits are kept. A device or a pipe,
+such as /dev/stdout, is written in place. The CSV of a recorded series is streamed one block of
 rows at a time: besides the series itself and its per-row trace,
 eigenvalue and purity columns, it holds one block of rows as numbers and
 one row as text.
@@ -33,6 +34,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -183,35 +185,53 @@ def _states_csv(times, states, stderr=None):
             yield ",".join(map(repr, row.tolist())) + "\n"
 
 
-def _write_output(path: str, lines) -> None:
-    """Write lines to path through a temporary file next to it.
+@contextlib.contextmanager
+def _write_output(path: str):
+    """Open path for a subcommand's CSV before it computes; yields write(lines).
 
-    The temporary file replaces path atomically once every line is written,
-    so a failure before or during the write leaves path as it was and
-    removes the temporary file. A device or a pipe, such as /dev/null or
-    /dev/stdout, is written in place. An unwritable path is a usage error.
+    The lines go to a temporary file next to path, opened on entry, so an
+    unwritable path is a usage error before any work is done. On a clean
+    exit the temporary file takes the permission bits of an existing
+    regular file at path and then replaces it atomically; its owner and
+    any hard links to it are not kept. An exception inside the block, or
+    during the write, leaves path as it was and removes the temporary file.
+    A device or a pipe, such as /dev/null or /dev/stdout, is opened and
+    written in place.
     """
+    def unwritable(exc: OSError) -> _UsageError:
+        return _UsageError(f"cannot write --out {path}: {exc.strerror or exc}")
+
+    # a rename would replace a device itself; a directory fails to open
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    written = path if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        if os.path.exists(path) and not os.path.isfile(path):
-            # a rename would replace the device itself; a directory fails to open
-            _write_lines(path, lines)
-            return
-        target = os.path.realpath(path)
-        temporary = f"{target}.{os.getpid()}.tmp"
-        try:
-            _write_lines(temporary, lines)
-            os.replace(temporary, target)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(temporary)
-            raise
+        handle = open(written, "w", encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+        raise unwritable(exc) from exc
 
+    def write(lines) -> None:
+        try:
+            handle.writelines(lines)
+            handle.flush()
+        except OSError as exc:
+            raise unwritable(exc) from exc
 
-def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+    try:
+        with handle:
+            yield write
+        if not in_place:
+            try:
+                if os.path.isfile(target):
+                    os.chmod(written, stat.S_IMODE(os.stat(target).st_mode))
+                os.replace(written, target)
+            except OSError as exc:
+                raise unwritable(exc) from exc
+    except BaseException:
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(written)
+        raise
 
 
 def cmd_check(args) -> int:
@@ -225,23 +245,25 @@ def cmd_check(args) -> int:
 def cmd_ode(args) -> int:
     _check_grid(args)
     model = parse_model(args.model)
-    trajectory = integrate_ode(model, uniform_superposition(model.dim),
-                               args.t_final, args.dt, args.record_every)
-    _write_output(args.out, _states_csv(trajectory.times, trajectory.states))
+    with _write_output(args.out) as write:
+        trajectory = integrate_ode(model, uniform_superposition(model.dim),
+                                   args.t_final, args.dt, args.record_every)
+        write(_states_csv(trajectory.times, trajectory.states))
     return EXIT_OK
 
 
 def cmd_sde(args) -> int:
     _check_grid(args)
     model = parse_model(args.model)
-    # run_ensemble forks one worker process per usable CPU, up to the chunk
-    # count; the CSV bytes do not depend on how many.
-    stats, diagnostics = run_ensemble(
-        model, uniform_superposition(model.dim), args.t_final, args.dt,
-        args.trajectories, args.seed, args.record_every,
-        args.stepper.replace("-", "_"),
-    )
-    _write_output(args.out, _states_csv(stats.times, stats.mean_state, stats.stderr))
+    with _write_output(args.out) as write:
+        # run_ensemble forks one worker process per usable CPU, up to the
+        # chunk count; the CSV bytes do not depend on how many.
+        stats, diagnostics = run_ensemble(
+            model, uniform_superposition(model.dim), args.t_final, args.dt,
+            args.trajectories, args.seed, args.record_every,
+            args.stepper.replace("-", "_"),
+        )
+        write(_states_csv(stats.times, stats.mean_state, stats.stderr))
     print(f"trajectories={stats.trajectory_count} seed={stats.seed} "
           f"trace_extremes=({diagnostics.trace_min:.6g}, {diagnostics.trace_max:.6g}) "
           f"min_eigenvalue={diagnostics.min_eigenvalue:.6g}", file=sys.stderr)
@@ -277,17 +299,18 @@ def cmd_choi(args) -> int:
     model = parse_model(args.model)
     root = np.sqrt(args.dt)
     lines = ["dw_scale,index,eigenvalue\n"]
-    for scale in (0.0, 1.0, -1.0):
-        dw = np.full(model.noise_count, scale * root)
-        choi = choi_of(build_infinitesimal_kraus(model, args.dt, dw))
-        if not np.all(np.isfinite(choi)):
-            raise NumericalError(
-                f"choi: non-finite Choi matrix; dt={args.dt!r} is too large for this model"
-            )
-        eigenvalues = np.linalg.eigvalsh(choi)
-        for idx, value in enumerate(eigenvalues):
-            lines.append(f"{_format(scale)},{idx},{_format(value)}\n")
-    _write_output(args.out, lines)
+    with _write_output(args.out) as write:
+        for scale in (0.0, 1.0, -1.0):
+            dw = np.full(model.noise_count, scale * root)
+            choi = choi_of(build_infinitesimal_kraus(model, args.dt, dw))
+            if not np.all(np.isfinite(choi)):
+                raise NumericalError(
+                    f"choi: non-finite Choi matrix; dt={args.dt!r} is too large for this model"
+                )
+            eigenvalues = np.linalg.eigvalsh(choi)
+            for idx, value in enumerate(eigenvalues):
+                lines.append(f"{_format(scale)},{idx},{_format(value)}\n")
+        write(lines)
     return EXIT_OK
 
 

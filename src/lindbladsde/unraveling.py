@@ -27,10 +27,12 @@ trajectory. Trajectory i therefore receives the same noise no matter how
 trajectories are scheduled, and ensemble reductions run in a fixed
 trajectory-index order with a fixed chunk size, so results are
 bit-reproducible for a given (seed, n_traj, dt, model) regardless of the
-worker count. _map_chunks evaluates the chunks in forked worker processes,
-one per usable CPU up to the chunk count; run_ensemble's workers=n thread
-pool, which it also runs, is kept only because the benchmark's own tests
-pin it.
+worker count. _map_chunks evaluates the chunks in worker processes forked
+directly, one per usable CPU up to the chunk count; each sends its records
+back as one pickle through its own pipe, and a worker that dies before
+sending them, killed by a signal for example, is an error rather than a
+hang. run_ensemble's workers=n thread pool, which _map_chunks also runs,
+is kept only because the benchmark's own tests pin it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from __future__ import annotations
 import functools
 import operator
 import os
+import pickle
+import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -348,39 +352,92 @@ def _map_chunks(work, jobs: list, workers: int = 1) -> list:
     The one place that chooses how chunks run. workers above 1 selects a
     thread pool of that size instead of processes; it measured slower than
     serial chunks on every preset of a 2-vCPU machine and is kept only
-    because the benchmark's own tests pin it. Otherwise work reaches the
-    worker processes through fork, not pickling; only the jobs and the
-    results are pickled. Results come back in job order either way, so the
-    first exception raised is that of the lowest-index failing job, as in
-    the serial loop.
+    because the benchmark's own tests pin it. Otherwise, when
+    _process_count allows P > 1 processes, P children are forked and child
+    p runs jobs p, p+P, ... through work, which reaches it by fork, not
+    pickling. Each child sends one pickle back through its own pipe, see
+    _run_jobs; this process runs no job, so no chunk adds to its memory.
+
+    Results come back in job order whichever way the jobs ran, and the
+    exception raised is that of the lowest-index failing job, as in the
+    serial loop. A child that dies before its payload is complete, killed
+    by a signal for example, raises RuntimeError naming its exit status or
+    signal. No child outlives the call: on any exit, Ctrl-C included, the
+    children still running are killed and reaped.
     """
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, jobs))
     processes = _process_count(jobs)
-    if processes > 1:
-        import multiprocessing  # only a run that forks pays for the import
+    if processes == 1:
+        return [work(job) for job in jobs]
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # unflushed output would be written twice
+            stream.flush()
+    children = {}  # pid: read end of its pipe, None once opened, until reaped
+    try:
+        for p in range(processes):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _run_jobs(work, jobs, p, processes, write)  # never returns
+            children[pid] = read
+            os.close(write)
+        results, failures = [None] * len(jobs), []
+        for p, pid in enumerate(list(children)):
+            # to EOF before waitpid: a child blocked on a full pipe never exits
+            with os.fdopen(children[pid], "rb") as pipe:
+                children[pid] = None
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            try:
+                done, failure = pickle.loads(payload)
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                cause = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+                         if code < 0 else f"exited with status {code}")
+                raise RuntimeError(f"chunk worker {pid} {cause} before it sent its "
+                                   f"results") from None
+            for i, record in zip(range(p, len(jobs), processes), done):
+                results[i] = record
+            if failure is not None:
+                failures.append(failure)
+        if failures:
+            raise min(failures, key=operator.itemgetter(0))[1]
+        return results
+    finally:
+        for pid, read in children.items():
+            if read is not None:
+                os.close(read)
+            os.kill(pid, signal.SIGKILL)  # unreaped, so at worst a zombie
+            os.waitpid(pid, 0)
 
-        if not multiprocessing.current_process().daemon:  # daemons cannot fork
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:  # unflushed output would be written twice
-                    stream.flush()
-            with multiprocessing.get_context("fork").Pool(
-                    processes, initializer=_set_worker_work, initargs=(work,)) as pool:
-                return list(pool.imap(_worker_job, jobs, chunksize=1))
-    return [work(job) for job in jobs]
 
+def _run_jobs(work, jobs: list, first: int, stride: int, fd: int):
+    """A forked child of _map_chunks: run jobs first, first+stride, ... and exit.
 
-_worker_work = None  # set in each worker process by _set_worker_work
-
-
-def _set_worker_work(work) -> None:
-    global _worker_work
-    _worker_work = work
-
-
-def _worker_job(job):
-    return _worker_work(job)
+    Writes one pickle to the pipe fd: the list of records of the jobs run,
+    in order, and either None or (index, exception) for the first job that
+    raised, where the child stops. Leaves with os._exit, so none of the
+    parent's cleanup, buffered output or exit handlers runs twice; the exit
+    status is 0 only when the whole payload was written.
+    """
+    status = 1
+    try:
+        done, failure = [], None
+        for i in range(first, len(jobs), stride):
+            try:
+                done.append(work(jobs[i]))
+            except Exception as exc:
+                failure = (i, exc)
+                break
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(pickle.dumps((done, failure)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_range(model, rho0, t_final, dt, record_every, stepper, name, seed,
@@ -432,14 +489,16 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     Returns (EnsembleStats, EnsembleDiagnostics). The stepper is resolved
     once into one update that every chunk applies. Trajectories are evolved
     in fixed-size chunks, vectorized over the chunk. The chunks run in
-    forked worker processes, one per usable CPU up to the chunk count, or
-    in order in this process when there is one chunk, one usable CPU or
-    another live thread, or when this process is a daemon. Each chunk's
-    sums and extremes are reduced in chunk order, so the result is
+    forked worker processes, one per usable CPU up to the chunk count, each
+    sending its records back through a pipe, or in order in this process
+    when there is one chunk, one usable CPU or another live thread. Each
+    chunk's sums and extremes are reduced in chunk order, so the result is
     identical for a given (seed, n_traj, dt, model) whatever the worker
-    count, and a failure is that of the lowest-index failing chunk.
-    Trace extremes are tracked at every step, eigenvalue and purity
-    diagnostics at the recorded samples.
+    count, and a failure is that of the lowest-index failing chunk. A
+    worker that dies before sending its records, killed by a signal for
+    example, raises RuntimeError naming its exit status or signal, and no
+    worker outlives the call. Trace extremes are tracked at every step,
+    eigenvalue and purity diagnostics at the recorded samples.
 
     Args:
         model: validated open-system model, shared read-only.

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -299,19 +300,16 @@ class TestSdeCommand:
         assert code == EXIT_OK
 
     def test_worker_processes_write_the_one_cpu_bytes(self, tmp_path, monkeypatch, capsys):
-        import multiprocessing
-        import os
-
         import lindbladsde.unraveling as unr
 
         forks = []
-        original = multiprocessing.get_context
+        original = os.fork
 
-        def counting(method):
-            forks.append(method)
-            return original(method)
+        def counting():
+            forks.append("fork")
+            return original()
 
-        monkeypatch.setattr(multiprocessing, "get_context", counting)
+        monkeypatch.setattr(os, "fork", counting)
         n_traj = 2 * unr._CHUNK_TRAJECTORIES + 1  # three chunks, the last partial
         args = ["sde", "--model", "two-noise-correlated", "--t-final", "0.02", "--dt", "1e-3",
                 "--trajectories", str(n_traj), "--seed", "4", "--record-every", "5"]
@@ -322,7 +320,7 @@ class TestSdeCommand:
             out = tmp_path / f"mean-{len(cpus)}.csv"
             assert main(args + ["--out", str(out)]) == EXIT_OK
             outputs[len(cpus)] = out.read_bytes(), capsys.readouterr().err
-        assert forks == ["fork"]  # only the two-CPU run forked
+        assert forks == ["fork"] * 2  # only the two-CPU run forked, a child per CPU
         assert outputs[1] == outputs[2]
 
     def test_exact_unitary_rejected_for_damping(self, tmp_path, capsys):
@@ -434,6 +432,31 @@ class TestOutputFile:
         assert err.splitlines()[-1].startswith(f"usage error: cannot write --out {out}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
         assert list((tmp_path / "directory").iterdir()) == []
+
+    @pytest.mark.parametrize("command, solver", [("ode", "integrate_ode"),
+                                                 ("sde", "run_ensemble")])
+    def test_unwritable_out_is_found_before_the_computation(self, tmp_path, monkeypatch,
+                                                           capsys, command, solver):
+        import lindbladsde.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{solver} ran before --out was opened")
+
+        monkeypatch.setattr(cli, solver, refuse)
+        out = tmp_path / "missing-directory" / "x.csv"
+        assert main([*WRITERS[command], "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"usage error: cannot write --out {out}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replacing_keeps_the_permission_bits(self, tmp_path):
+        out = tmp_path / "choi.csv"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        assert main([*WRITERS["choi"], "--out", str(out)]) == EXIT_OK
+        assert out.read_text().startswith("dw_scale,")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("command", sorted(WRITERS))
     def test_success_replaces_an_existing_file(self, tmp_path, command):

@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -503,18 +504,23 @@ THREE_CHUNKS = 2 * 4096 + 1  # the last chunk holds one trajectory
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Methods passed to multiprocessing.get_context during the test."""
-    import multiprocessing
-
+    """One entry per os.fork call this process makes during the test."""
     calls = []
-    original = multiprocessing.get_context
+    original = os.fork
 
-    def counting(method=None):
-        calls.append(method)
-        return original(method)
+    def counting():
+        calls.append("fork")
+        return original()
 
-    monkeypatch.setattr(multiprocessing, "get_context", counting)
+    monkeypatch.setattr(os, "fork", counting)
     return calls
+
+
+def refuse_forks(monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 def usable_cpus(monkeypatch, cpus):
@@ -534,7 +540,7 @@ class TestChunkProcesses:
             results.append(run_ensemble(model, uniform_superposition(2), 0.01, 1e-3,
                                         THREE_CHUNKS, seed=17, record_every=5,
                                         stepper=stepper))
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2  # one child per usable CPU, none for one CPU
         (serial, serial_diag), (pooled, pooled_diag) = results
         assert np.array_equal(serial.mean_state, pooled.mean_state)
         assert np.array_equal(serial.stderr, pooled.stderr)
@@ -570,20 +576,16 @@ class TestChunkProcesses:
                 run_ensemble(model, uniform_superposition(2), 0.002, 1e-3, THREE_CHUNKS,
                              seed=3)
             messages.append(str(caught.value))
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2
         assert messages == ["trajectory 4101: non-finite state at t=0.001"] * 2
 
     @pytest.mark.parametrize("case", ["trajectory", "one-chunk", "one-cpu",
-                                      "no-affinity", "live-thread", "daemon"])
+                                      "no-affinity", "live-thread"])
     def test_runs_in_process(self, monkeypatch, case):
-        import multiprocessing
         import threading
 
-        def refuse(method=None):
-            raise AssertionError("forked")
-
         usable_cpus(monkeypatch, {0, 1})
-        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        refuse_forks(monkeypatch)
         model, rho0 = preset_model("dephasing"), uniform_superposition(2)
         if case == "trajectory":
             run_trajectory(model, rho0, 0.002, 1e-3, seed=0, traj_index=4096)
@@ -593,8 +595,6 @@ class TestChunkProcesses:
             usable_cpus(monkeypatch, {0})
         elif case == "no-affinity":
             monkeypatch.delattr(os, "sched_getaffinity")
-        elif case == "daemon":
-            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         if case == "live-thread":
@@ -608,14 +608,42 @@ class TestChunkProcesses:
             assert not thread.is_alive()
         assert stats.trajectory_count == n_traj
 
-    def test_key_checked_before_any_worker(self, monkeypatch):
+    def test_daemonic_process_forks_and_gets_the_serial_bits(self, monkeypatch):
+        # multiprocessing forbids a daemonic process children; os.fork does not
         import multiprocessing
 
-        def refuse(method=None):
-            raise AssertionError("forked")
-
+        model, rho0 = preset_model("two-noise-correlated"), uniform_superposition(2)
+        usable_cpus(monkeypatch, {0})
+        serial, _ = run_ensemble(model, rho0, 0.002, 1e-3, THREE_CHUNKS, seed=5)
         usable_cpus(monkeypatch, {0, 1})
-        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+        def in_daemon(connection):
+            forks = []
+            original = os.fork
+
+            def counting():
+                forks.append("fork")
+                return original()
+
+            os.fork = counting  # this process ends after the run
+            stats, _ = run_ensemble(model, rho0, 0.002, 1e-3, THREE_CHUNKS, seed=5)
+            connection.send((multiprocessing.current_process().daemon, len(forks),
+                             stats.mean_state, stats.stderr))
+
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        process = context.Process(target=in_daemon, args=(sender,), daemon=True)
+        process.start()
+        process.join(timeout=60)
+        assert process.exitcode == 0
+        daemon, fork_count, mean, stderr = receiver.recv()
+        assert daemon and fork_count == 2
+        assert np.array_equal(mean, serial.mean_state)
+        assert np.array_equal(stderr, serial.stderr)
+
+    def test_key_checked_before_any_worker(self, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1})
+        refuse_forks(monkeypatch)
         model, rho0 = preset_model("dephasing"), uniform_superposition(2)
         with pytest.raises(ValueError, match=r"below 2\*\*64"):
             run_ensemble(model, rho0, 0.002, 1e-3, THREE_CHUNKS, seed=2**64)
@@ -623,18 +651,111 @@ class TestChunkProcesses:
             run_ensemble(model, rho0, 0.002, 1e-3, 2**64 + 1, seed=0)
 
     def test_import_leaves_multiprocessing_unloaded(self):
-        # only a run that forks imports multiprocessing, so set-up never pays for it
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = ("import sys, numpy; before = 'multiprocessing' in sys.modules; "
-                "import lindbladsde.cli; print(before, 'multiprocessing' in sys.modules)")
-        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        before, after = result.stdout.split()
+        # chunk workers are forked with os.fork, so neither set-up nor a run
+        # that forks pays for importing multiprocessing
+        result = run_python(
+            "import sys, numpy; before = 'multiprocessing' in sys.modules\n"
+            "import lindbladsde.cli\n"
+            "after_import = 'multiprocessing' in sys.modules\n"
+            + TWO_CPU_RUN + "forks = []\n"
+            "original = os.fork\n"
+            "def counting():\n"
+            "    forks.append(1)\n"
+            "    return original()\n"
+            "os.fork = counting\n"
+            "run()\n"
+            "print(before, after_import, 'multiprocessing' in sys.modules, len(forks))\n")
+        before, after_import, after_run, fork_count = result.stdout.split()
         if before == "True":
             pytest.skip("this numpy loads multiprocessing on import")
-        assert after == "False"
+        assert (after_import, after_run, fork_count) == ("False", "False", "2")
+
+    def test_killed_worker_raises_instead_of_hanging(self):
+        # a worker killed outright, as by the OOM killer, sends nothing back;
+        # a timeout here means the parent waits for it forever
+        result = run_python(TWO_CPU_RUN + """
+original = unr._run_chunk
+def dying(*args):
+    if args[-2] == 4096:  # the first trajectory of chunk 1
+        os.kill(os.getpid(), signal.SIGKILL)
+    return original(*args)
+unr._run_chunk = dying
+start = time.monotonic()
+try:
+    run()
+except RuntimeError as exc:
+    print(time.monotonic() - start)
+    print(no_child_left())
+    print(exc)
+""")
+        elapsed, no_child, message = result.stdout.splitlines()
+        assert float(elapsed) < 10 and no_child == "True"
+        assert re.fullmatch(r"chunk worker \d+ was killed by signal 9 \(.*\) "
+                            r"before it sent its results", message)
+
+    @pytest.mark.parametrize("ending", ["normal", "chunk-failure", "interrupt"])
+    def test_no_worker_outlives_the_run(self, ending):
+        body = {
+            "normal": "run()\n",
+            "chunk-failure": """
+def failing(*args):
+    raise NumericalError(f"chunk from {args[-2]}")
+unr._run_chunk = failing
+try:
+    run()
+except NumericalError as exc:
+    print(exc)
+""",
+            # Ctrl-C reaches the parent while both workers are still busy
+            "interrupt": """
+def sleeping(*args):
+    if args[-2] == 4096:
+        os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(60)
+unr._run_chunk = sleeping
+try:
+    run()
+except KeyboardInterrupt:
+    print("interrupted")
+""",
+        }[ending]
+        result = run_python(TWO_CPU_RUN + body + "print(no_child_left())\n")
+        expected = {"normal": [], "chunk-failure": ["chunk from 0"],
+                    "interrupt": ["interrupted"]}[ending]
+        assert result.stdout.splitlines() == expected + ["True"]
+
+
+# Python source that makes two CPUs usable and defines run(), a three-chunk
+# ensemble that forks two workers, and no_child_left().
+TWO_CPU_RUN = """
+import os, signal, sys, time
+import lindbladsde.unraveling as unr
+from lindbladsde.lindblad import NumericalError
+from lindbladsde.presets import preset_model, uniform_superposition
+os.sched_getaffinity = lambda pid: {0, 1}
+def run():
+    return unr.run_ensemble(preset_model("dephasing"), uniform_superposition(2),
+                            0.002, 1e-3, 2 * 4096 + 1, seed=0)
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this package's sources.
+
+    The timeout turns a hang into a failure instead of stalling the suite.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result
 
 
 class TestChunkSums:
