@@ -6,7 +6,7 @@ algebra that checks the two agree, and completely positive one-step
 channels with Choi certificates.
 """
 
-from .channels import KrausChannel, apply_kraus, build_infinitesimal_kraus, choi_of, is_trace_preserving
+from .channels import KrausChannel, apply_kraus, build_infinitesimal_kraus, choi_of
 from .ito import DerivationResult, ItoPolynomial, derive_stochastic_evolution, ito_mul
 from .lindblad import (
     LindbladModel,
@@ -18,7 +18,7 @@ from .lindblad import (
     integrate_ode,
     lindblad_rhs,
 )
-from .operators import adjoint, commutator, hermitian_part
+from .operators import adjoint, hermitian_part
 from .presets import PRESET_NAMES, preset_model, uniform_superposition
 from .unraveling import (
     EnsembleDiagnostics,

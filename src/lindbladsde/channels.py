@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import LindbladModel, NumericalError, drift_operator, require_positive
-from .operators import frobenius, hermitian_part, readonly
+from .operators import hermitian_part, readonly
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,6 @@ def apply_kraus(channel: KrausChannel, x: np.ndarray) -> np.ndarray:
         )
     ops = channel.operators
     return np.einsum("kab,bc,kdc->ad", ops, x, ops.conj())
-
-
-def is_trace_preserving(channel: KrausChannel, tol: float):
-    """Whether sum_k A_k^dagger A_k = 1 within tol (Frobenius residual returned)."""
-    ops = channel.operators
-    total = np.einsum("kba,kbc->ac", ops.conj(), ops)
-    residual = frobenius(total - np.eye(channel.dim))
-    return bool(residual <= tol), float(residual)
 
 
 def choi_of(channel: KrausChannel) -> np.ndarray:

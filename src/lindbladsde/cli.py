@@ -16,7 +16,8 @@ expected, the name of a built-in preset is accepted too, unless a file of
 that name exists.
 
 Exit codes: 0 success, 1 usage error (an --out that cannot be written
-included), 2 invalid model, 3 numerical failure, 4 derivation mismatch.
+included), 2 invalid model, 3 numerical failure, 4 derivation mismatch,
+5 a chunk worker died before it sent its results (WorkerDiedError).
 
 ode, sde and choi open a temporary file next to --out before they
 compute, so an unwritable --out fails at once, and move it onto --out with
@@ -45,13 +46,14 @@ from .ito import derive_stochastic_evolution
 from .lindblad import LindbladModel, NumericalError, integrate_ode, time_grid
 from .operators import matrix_from_literal, min_eigenvalues, purities, real_matrix_from_literal
 from .presets import PRESET_NAMES, preset_model, uniform_superposition
-from .unraveling import STEPPERS, run_ensemble, trajectory_rng
+from .unraveling import STEPPERS, WorkerDiedError, run_ensemble, trajectory_rng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MODEL = 2
 EXIT_NUMERICAL = 3
 EXIT_DERIVATION = 4
+EXIT_WORKER = 5
 
 DERIVE_TOL = 1e-10
 
@@ -408,6 +410,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except WorkerDiedError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except ValueError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_MODEL

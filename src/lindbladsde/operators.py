@@ -41,17 +41,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + adjoint(m))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b - b @ a. Raises ValueError on dimension mismatch."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(
-            f"commutator: dimension mismatch {a.shape[-2:]} vs {b.shape[-2:]}"
-        )
-    return a @ b - b @ a
-
-
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:

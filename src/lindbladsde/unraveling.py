@@ -11,13 +11,13 @@ noise operators cancel along every active covariance direction; positivity
 of single trajectories is not guaranteed by the linear scheme at all, so
 both are monitored and reported, never enforced.
 
-The update is computed in one place, the kernels _euler_update and
-_unitary_update, which _prepare resolves once per run from the stepper
-name; run_trajectory and run_ensemble are the public ways to step. Both
-are one driver, _run_range, over a range of trajectory indices: one
-trajectory, or all n_traj of an ensemble. The driver cuts the range into
-fixed-size chunks, and each chunk reports one record, _ChunkSums: the sums
-of its recorded states and squared norms, its trace extremes and its
+The update is computed in the kernels _euler_update and _unitary_update;
+each stepper is one entry of one table, _STEP_BUILDERS, which _prepare
+reads once per run. run_trajectory and run_ensemble are the public ways to
+step. Both are one driver, _run_range, over a range of trajectory indices:
+one trajectory, or all n_traj of an ensemble. The driver cuts the range
+into fixed-size chunks, and each chunk reports one record, _ChunkSums: the
+sums of its recorded states and squared norms, its trace extremes and its
 smallest eigenvalue. That record is all that crosses the worker boundary,
 and the records are merged in chunk order.
 
@@ -30,9 +30,10 @@ bit-reproducible for a given (seed, n_traj, dt, model) regardless of the
 worker count. _map_chunks evaluates the chunks in worker processes forked
 directly, one per usable CPU up to the chunk count; each sends its records
 back as one pickle through its own pipe, and a worker that dies before
-sending them, killed by a signal for example, is an error rather than a
-hang. run_ensemble's workers=n thread pool, which _map_chunks also runs,
-is kept only because the benchmark's own tests pin it.
+sending them, killed by a signal for example, raises WorkerDiedError
+rather than hanging. run_ensemble's workers=n thread pool, which
+_map_chunks also runs, is kept only because the benchmark's own tests pin
+it.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ from .operators import (
     readonly,
 )
 
-STEPPERS = ("euler", "exact_unitary")
+
+class WorkerDiedError(RuntimeError):
+    """A chunk worker process ended before it sent its results."""
+
 
 # Trajectories are reduced in chunks of this fixed size; the value must not
 # depend on the worker count or results would not be reproducible.
@@ -166,21 +170,6 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
     return hermitian_part(out)
 
 
-def unitary_noise_operator(model: LindbladModel) -> np.ndarray:
-    """The Hermitian K with v = -iK, required by the exact-unitary stepper.
-
-    Only single-noise models whose operator is anti-Hermitian qualify; for
-    those the one-step evolution is an exact unitary conjugation.
-    """
-    if model.noise_count != 1:
-        raise ValueError(
-            f"exact_unitary stepper needs a single-noise model, got "
-            f"{model.noise_count} noise operators"
-        )
-    k = 1j * model.lindblad_ops[0]
-    return check_hermitian(k, name="noise operator (as -iK)")
-
-
 def _unitary_update(h: np.ndarray, k: np.ndarray, rho: np.ndarray, dt: float,
                     dw: np.ndarray) -> np.ndarray:
     """Exact step V rho V^dagger with V = exp(-i (H dt + K dW)), no input checks.
@@ -194,6 +183,34 @@ def _unitary_update(h: np.ndarray, k: np.ndarray, rho: np.ndarray, dt: float,
     w, q = np.linalg.eigh(generator)
     v = (q * np.exp(-1j * w)[..., None, :]) @ adjoint(q)
     return hermitian_part(v @ rho @ adjoint(v))
+
+
+def _euler_step(model: LindbladModel, dt: float):
+    """step(rho, dw) of the general linear scheme, _euler_update; any model runs."""
+    return lambda rho, dw: _euler_update(model, rho, dt, dw)
+
+
+def _exact_unitary_step(model: LindbladModel, dt: float):
+    """step(rho, dw) of the exact unitary conjugation, _unitary_update.
+
+    Only single-noise models whose operator v = -iK is anti-Hermitian
+    qualify; for those the one-step evolution is an exact unitary
+    conjugation. K is checked here, once per run.
+    """
+    if model.noise_count != 1:
+        raise ValueError(
+            f"exact_unitary stepper needs a single-noise model, got "
+            f"{model.noise_count} noise operators"
+        )
+    k = check_hermitian(1j * model.lindblad_ops[0], name="noise operator (as -iK)")
+    return lambda rho, dw: _unitary_update(model.hamiltonian, k, rho, dt, dw[..., 0])
+
+
+# The one table of steppers: each name maps to a builder of step(rho, dw)
+# for (model, dt) that raises ValueError for a model the stepper cannot
+# run. The first name is the default.
+_STEP_BUILDERS = {"euler": _euler_step, "exact_unitary": _exact_unitary_step}
+STEPPERS = tuple(_STEP_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -311,26 +328,18 @@ def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
     """Checks, time grid and step update of a run, for the driver _run_range.
 
     The one place a stepper name becomes an update: step(rho, dw) advances
-    stacked states rho (..., d, d) by dt with increments dw (..., N), using
-    the kernel _euler_update or _unitary_update. rho0 (against the model's
-    dimension too), the stepper, dt and the exact-unitary noise operator
-    are checked here, once per run, so the kernels check nothing. Returns
-    (rho0, n_steps, record times, step).
+    stacked states rho (..., d, d) by dt with increments dw (..., N); the
+    stepper's entry of _STEP_BUILDERS builds it. rho0 (against the model's
+    dimension too), the stepper, dt, the grid and the model's eligibility
+    are checked here, in that order, once per run, so the kernels check
+    nothing. Returns (rho0, n_steps, record times, step).
     """
     rho0 = _initial_state(model, rho0, name)
     if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
     check_step_size(model, dt)
     n_steps, times = time_grid(t_final, dt, record_every, name)
-    if stepper == "euler":
-        def step(rho, dw):
-            return _euler_update(model, rho, dt, dw)
-    else:
-        h, k = model.hamiltonian, unitary_noise_operator(model)
-
-        def step(rho, dw):
-            return _unitary_update(h, k, rho, dt, dw[..., 0])
-    return rho0, n_steps, times, step
+    return rho0, n_steps, times, _STEP_BUILDERS[stepper](model, dt)
 
 
 def _process_count(jobs: list) -> int:
@@ -361,8 +370,8 @@ def _map_chunks(work, jobs: list, workers: int = 1) -> list:
     Results come back in job order whichever way the jobs ran, and the
     exception raised is that of the lowest-index failing job, as in the
     serial loop. A child that dies before its payload is complete, killed
-    by a signal for example, raises RuntimeError naming its exit status or
-    signal. No child outlives the call: on any exit, Ctrl-C included, the
+    by a signal for example, raises WorkerDiedError naming its exit status
+    or signal. No child outlives the call: on any exit, Ctrl-C included, the
     children still running are killed and reaped.
     """
     if workers > 1 and len(jobs) > 1:
@@ -398,8 +407,8 @@ def _map_chunks(work, jobs: list, workers: int = 1) -> list:
                 code = os.waitstatus_to_exitcode(status)
                 cause = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
                          if code < 0 else f"exited with status {code}")
-                raise RuntimeError(f"chunk worker {pid} {cause} before it sent its "
-                                   f"results") from None
+                raise WorkerDiedError(f"chunk worker {pid} {cause} before it sent "
+                                      f"its results") from None
             for i, record in zip(range(p, len(jobs), processes), done):
                 results[i] = record
             if failure is not None:
@@ -465,7 +474,7 @@ def _run_range(model, rho0, t_final, dt, record_every, stepper, name, seed,
 
 def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
                    dt: float, seed: int, traj_index: int = 0,
-                   record_every: int = 1, stepper: str = "euler") -> Trajectory:
+                   record_every: int = 1, stepper: str = STEPPERS[0]) -> Trajectory:
     """Integrate a single stochastic trajectory.
 
     This is the one-trajectory range of :func:`run_ensemble`'s driver, so
@@ -483,7 +492,7 @@ def run_trajectory(model: LindbladModel, rho0: np.ndarray, t_final: float,
 
 def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
                  dt: float, n_traj: int, seed: int, record_every: int = 1,
-                 stepper: str = "euler", workers: int = 1):
+                 stepper: str = STEPPERS[0], workers: int = 1):
     """Monte Carlo ensemble of independent trajectories.
 
     Returns (EnsembleStats, EnsembleDiagnostics). The stepper is resolved
@@ -496,7 +505,7 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     identical for a given (seed, n_traj, dt, model) whatever the worker
     count, and a failure is that of the lowest-index failing chunk. A
     worker that dies before sending its records, killed by a signal for
-    example, raises RuntimeError naming its exit status or signal, and no
+    example, raises WorkerDiedError naming its exit status or signal, and no
     worker outlives the call. Trace extremes are tracked at every step,
     eigenvalue and purity diagnostics at the recorded samples.
 
@@ -508,8 +517,8 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
         n_traj: number of independent trajectories.
         seed: base seed; trajectory i uses the (seed, i) stream.
         record_every: sample cadence in steps, a divisor of the step count.
-        stepper: "euler" for the general linear scheme, "exact_unitary" for
-            single-noise models with an anti-Hermitian noise operator.
+        stepper: a name in STEPPERS, the keys of the one table of steppers,
+            _STEP_BUILDERS; each entry's docstring says which models it runs.
         workers: when above 1, a thread pool of this size evaluates the
             chunks instead of worker processes. On a 2-vCPU machine two
             threads measured slower than serial chunks on every preset; the

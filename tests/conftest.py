@@ -9,6 +9,10 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
+def commutator(a, b):
+    return a @ b - b @ a
+
+
 def random_complex(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 

@@ -9,7 +9,6 @@ from lindbladsde.channels import (
     apply_kraus,
     build_infinitesimal_kraus,
     choi_of,
-    is_trace_preserving,
 )
 from lindbladsde.lindblad import LindbladModel, NumericalError
 from lindbladsde.operators import (
@@ -22,6 +21,12 @@ from lindbladsde.operators import (
 )
 from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
 from lindbladsde.unraveling import _euler_update
+
+
+def completeness_residual(channel):
+    """Frobenius distance of sum_k A_k^dagger A_k from the identity."""
+    ops = channel.operators
+    return frobenius(np.einsum("kba,kbc->ac", ops.conj(), ops) - np.eye(channel.dim))
 
 
 class TestApplyKraus:
@@ -58,27 +63,6 @@ class TestApplyKraus:
     def test_empty_channel_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             KrausChannel(np.zeros((0, 2, 2)))
-
-
-class TestTracePreservation:
-    def test_identity(self):
-        ok, residual = is_trace_preserving(
-            KrausChannel(np.array([np.eye(2, dtype=complex)])), 1e-12)
-        assert ok and residual == 0.0
-
-    def test_scaled_identity_fails(self):
-        ok, residual = is_trace_preserving(
-            KrausChannel(np.array([0.5 * np.eye(2, dtype=complex)])), 1e-12)
-        assert not ok
-        assert residual > 0.1
-
-    def test_amplitude_damping_pair(self):
-        # direct 2x2 algebra: A1^dag A1 + A2^dag A2 = diag(1, 1-g) + diag(0, g)
-        gamma = 0.3
-        a1 = np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex)
-        a2 = np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        ok, residual = is_trace_preserving(KrausChannel(np.array([a1, a2])), 1e-12)
-        assert ok and residual <= 1e-12
 
 
 class TestChoi:
@@ -119,8 +103,7 @@ class TestInfinitesimalChannel:
         )
         ch = build_infinitesimal_kraus(model, 1e-3, np.zeros(1))
         assert np.array_equal(ch.operators[0], np.eye(2))
-        ok, residual = is_trace_preserving(ch, 0.0)
-        assert ok and residual == 0.0
+        assert completeness_residual(ch) == 0.0
 
     def test_single_noise_unitary_expansion(self):
         # K = sigma_z, H = sigma_z: operator must be
@@ -178,9 +161,7 @@ class TestInfinitesimalChannel:
             defects = []
             for dt in (1e-3, 5e-4):
                 dw = np.full(model.noise_count, np.sqrt(dt))
-                _, residual = is_trace_preserving(
-                    build_infinitesimal_kraus(model, dt, dw), 0.0)
-                defects.append(residual)
+                defects.append(completeness_residual(build_infinitesimal_kraus(model, dt, dw)))
             assert defects[0] / defects[1] >= 2.5
 
     def test_rejects_bad_increment_count(self):

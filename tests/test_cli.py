@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from lindbladsde.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_WORKER,
     _CSV_BLOCK_ROWS,
     _format,
     _states_csv,
@@ -25,8 +27,9 @@ from lindbladsde.cli import (
 )
 from lindbladsde.lindblad import NumericalError
 from lindbladsde.operators import min_eigenvalues, purities
-from lindbladsde.presets import PRESET_NAMES
+from lindbladsde.presets import PRESET_NAMES, preset_model
 from test_golden_csv import QUDIT8_MODEL
+from test_unraveling import TWO_CPU_RUN, run_python
 
 
 def write_model(tmp_path, name="model.json", **overrides):
@@ -409,6 +412,35 @@ class TestNumericalFailure:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestWorkerFailure:
+    def test_killed_worker_is_one_line_and_its_own_exit_code(self, tmp_path):
+        # the self-SIGKILL chunk of test_killed_worker_raises_instead_of_hanging,
+        # run through main; a worker lost to the OOM killer looks the same
+        out = tmp_path / "mean.csv"
+        out.write_text("old bytes\n")
+        result = run_python(TWO_CPU_RUN + f"""
+import lindbladsde.cli as cli
+original = unr._run_chunk
+def dying(*args):
+    if args[-2] == 4096:  # the first trajectory of chunk 1
+        os.kill(os.getpid(), signal.SIGKILL)
+    return original(*args)
+unr._run_chunk = dying
+print(cli.main(["sde", "--model", "dephasing", "--t-final", "0.002", "--dt", "1e-3",
+                "--trajectories", str(2 * 4096 + 1), "--out", {str(out)!r}]))
+print(no_child_left())
+""")
+        *report, message = result.stderr.splitlines()
+        assert result.stdout.split() == [str(EXIT_WORKER), "True"]
+        # parse_model's report, then the one line
+        assert report == ["model report for 'dephasing':",
+                          *preset_model("dephasing").report.summary().splitlines()]
+        assert re.fullmatch(r"worker failure: chunk worker \d+ was killed by signal 9 "
+                            r"\(.*\) before it sent its results", message)
+        assert out.read_text() == "old bytes\n"
+        assert os.listdir(tmp_path) == ["mean.csv"]
 
 
 # One fast successful run of each command that writes --out.

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    commutator,
     model_with_covariance,
     philox,
     random_complex,
@@ -13,7 +14,7 @@ from conftest import (
 )
 from lindbladsde.ito import ItoPolynomial, derive_stochastic_evolution, ito_mul
 from lindbladsde.lindblad import lindblad_rhs
-from lindbladsde.operators import SIGMA_Z, commutator, frobenius
+from lindbladsde.operators import SIGMA_Z, frobenius
 
 
 def random_polynomial(rng, dim, noises):

@@ -13,7 +13,6 @@ from lindbladsde.operators import (
     adjoint,
     check_density_matrix,
     check_hermitian,
-    commutator,
     matrix_from_literal,
     min_eigenvalues,
     purities,
@@ -68,30 +67,6 @@ class TestAdjoint:
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-class TestCommutator:
-    def test_identity_commutes(self):
-        m = random_complex(philox(1), 4)
-        assert np.allclose(commutator(np.eye(4), m), 0.0, atol=0.0)
-
-    def test_pauli_algebra(self):
-        # direct multiplication oracle for [sigma_x, sigma_y]
-        expected = loop_matmul(SIGMA_X, SIGMA_Y) - loop_matmul(SIGMA_Y, SIGMA_X)
-        assert np.allclose(expected, 2.0j * SIGMA_Z, atol=0.0)
-        assert np.allclose(commutator(SIGMA_X, SIGMA_Y), 2.0j * SIGMA_Z, atol=0.0)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_trace_vanishes(self, seed):
-        rng = philox(seed)
-        a = random_complex(rng, 4)
-        b = random_complex(rng, 4)
-        assert abs(np.trace(commutator(a, b))) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            commutator(np.eye(2), np.eye(3))
-
-
 class TestStructureChecks:
     def test_density_ok(self):
         check_density_matrix(np.diag([0.25, 0.75]).astype(complex))
@@ -113,6 +88,11 @@ class TestStructureChecks:
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="finite"):
             check_hermitian(bad)
+
+    def test_pauli_algebra(self):
+        # direct multiplication oracle for [sigma_x, sigma_y]
+        expected = loop_matmul(SIGMA_X, SIGMA_Y) - loop_matmul(SIGMA_Y, SIGMA_X)
+        assert np.allclose(expected, 2.0j * SIGMA_Z, atol=0.0)
 
     def test_sigma_ladder_conventions(self):
         ground = np.array([1.0, 0.0], dtype=complex)

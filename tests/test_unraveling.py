@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    commutator,
     model_with_covariance,
     philox,
     random_density,
@@ -29,7 +30,6 @@ from lindbladsde.operators import (
     SIGMA_MINUS,
     SIGMA_Z,
     adjoint,
-    commutator,
     frobenius,
     hermitian_part,
 )
@@ -38,12 +38,12 @@ from lindbladsde.unraveling import (
     _ChunkSums,
     _correlate,
     _euler_update,
+    _exact_unitary_step,
     _trajectory_increments,
     _unitary_update,
     run_ensemble,
     run_trajectory,
     trajectory_rng,
-    unitary_noise_operator,
 )
 
 
@@ -289,17 +289,22 @@ class TestStochasticUnitaryStep:
 
 class TestUnitaryEligibility:
     def test_accepts_anti_hermitian_single_noise(self):
+        # the step conjugates by exp(-i (H dt + K dW)) with K = sigma_z
         model = preset_model("stochastic-unitary-larmor")
-        k = unitary_noise_operator(model)
-        assert frobenius(k - SIGMA_Z) < 1e-14
+        rho = random_density(philox(12), 2)
+        dw = np.array([[0.03], [-0.05]])
+        step = _exact_unitary_step(model, 1e-3)
+        expected = _unitary_update(model.hamiltonian, SIGMA_Z, rho, 1e-3, dw[:, 0])
+        assert np.array_equal(step(rho, dw), expected)
 
     def test_rejects_multi_noise(self):
         with pytest.raises(ValueError, match="single-noise"):
-            unitary_noise_operator(preset_model("two-noise-correlated"))
+            run_ensemble(preset_model("two-noise-correlated"), uniform_superposition(2),
+                         0.1, 1e-3, 10, seed=0, stepper="exact_unitary")
 
     def test_rejects_non_anti_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            unitary_noise_operator(preset_model("amplitude-damping"))
+            _exact_unitary_step(preset_model("amplitude-damping"), 1e-3)
 
 
 class TestRunTrajectory:
@@ -359,8 +364,12 @@ class TestRunTrajectory:
             weights=np.array([1.0]),
             covariance=np.eye(1),
         )
-        with pytest.warns(RuntimeWarning, match="bias"):
+        # the warning names the line that called the runner
+        with pytest.warns(RuntimeWarning, match="bias") as caught:
             run_trajectory(model, uniform_superposition(2), 0.5, 0.05, seed=0)
+        with pytest.warns(RuntimeWarning, match="bias") as caught_ensemble:
+            run_ensemble(model, uniform_superposition(2), 0.5, 0.05, 2, seed=0)
+        assert [w.filename for w in [*caught, *caught_ensemble]] == [__file__] * 2
 
     def test_rejects_oversized_step(self):
         model = LindbladModel(
@@ -442,6 +451,25 @@ class TestRunEnsemble:
         # single-trajectory diagnostics show the drift
         assert diag.trace_max > 1.0 + 1e-2 or diag.trace_min < 1.0 - 1e-2
 
+    @pytest.mark.xfail(strict=True, reason="the one-pass variance, E|rho|^2 - |mean|^2, "
+                       "cancels when the spread is tiny next to an O(1) mean")
+    @pytest.mark.parametrize("scale", [1e-7, 1e-8])
+    def test_weak_noise_stderr_matches_two_pass(self, scale):
+        # the reported stderr against the two-pass one over the same
+        # trajectories: trajectory i of the ensemble is run_trajectory's i
+        dephasing = preset_model("dephasing")
+        model = LindbladModel(hamiltonian=dephasing.hamiltonian,
+                              lindblad_ops=scale * dephasing.lindblad_ops,
+                              weights=dephasing.weights, covariance=dephasing.covariance)
+        n_traj, rho0 = 256, uniform_superposition(2)
+        stats, _ = run_ensemble(model, rho0, 0.1, 1e-3, n_traj, seed=11, record_every=100)
+        finals = np.array([run_trajectory(model, rho0, 0.1, 1e-3, seed=11, traj_index=i,
+                                          record_every=100).states[-1]
+                           for i in range(n_traj)])
+        deviations = finals - finals.mean(axis=0)
+        variance = np.einsum("kab,kab->", deviations, deviations.conj()).real / (n_traj - 1)
+        assert stats.stderr[-1] == pytest.approx(np.sqrt(variance / n_traj), rel=1e-3)
+
     @pytest.mark.parametrize("name, stepper", [
         ("dephasing", "euler"),
         ("two-noise-correlated", "euler"),
@@ -492,6 +520,19 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="Hermitian"):
             run_ensemble(preset_model("amplitude-damping"), uniform_superposition(2), 0.1,
                          1e-3, 10, seed=0, stepper="exact_unitary")
+
+    @pytest.mark.parametrize("stepper, dt, error, message", [
+        ("milstein", 1.5, ValueError, "unknown stepper"),
+        ("exact_unitary", 1.5, NumericalError, "refusing"),
+        ("exact_unitary", 1e-3, ValueError, "record_every"),
+    ], ids=["name-first", "then-step-size", "then-grid"])
+    def test_checks_the_stepper_name_step_size_grid_then_model(self, stepper, dt, error,
+                                                               message):
+        # amplitude-damping cannot run exact_unitary, and record_every=7
+        # divides no step count here: the first check that fails raises
+        with pytest.raises(error, match=message):
+            run_ensemble(preset_model("amplitude-damping"), uniform_superposition(2), 0.1,
+                         dt, 10, seed=0, record_every=7, stepper=stepper)
 
     def test_rejects_bad_record_cadence(self):
         with pytest.raises(ValueError, match="record_every"):
