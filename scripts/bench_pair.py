@@ -8,7 +8,9 @@ sides alike. Every workload gets 10 pairs of runs, each as long as
 and `correct` flag, the per-side medians and quartiles, the change/base
 ratio of the medians and each side's `source_sha256` (perfbench's digest
 of the package and benchmark sources) to one JSON file, together with
-the command that reproduces it, base commit resolved.
+the command that reproduces it, base commit resolved. Each end-to-end
+metric of each workload also gets the base's quartile spread, the gap
+between the medians and a verdict, see `verdict`.
 
     python3 scripts/bench_pair.py --workload sde-qubit-long sde-qubit-wide \\
         --seed 1001 --base HEAD~1 --out BENCH_4.json
@@ -78,14 +80,47 @@ def same_source(side: dict, env: dict) -> None:
                            f"{env['source_sha256']}")
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
 def summarize(runs: list[dict]) -> dict:
-    names = runs[0]["metrics"]
-    summary = {}
-    for name in names:
-        values = [r["metrics"][name] for r in runs]
-        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        summary[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
-    return summary
+    return {name: quartiles([r["metrics"][name] for r in runs]) for name in runs[0]["metrics"]}
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float,
+            more_failures: bool = False) -> dict:
+    """Judge one end-to-end metric of one workload from its paired runs.
+
+    base[i] and change[i] are pair i; better is "lower" or "higher" and
+    bound the relative regression bound from BENCHMARK.json. median_gap is
+    how much better the change's median is than the base's, in the
+    metric's unit, and base_iqr the distance between the base's quartiles.
+    The verdict is "gain" when the change wins at least nine tenths of the
+    pairs, ties counting for neither, its median_gap exceeds base_iqr and
+    it fails no more operations than the base (more_failures false).
+    Otherwise it is "unresolved" when either side's quartile spread is wider
+    than the bound, unless every change run beats every base run;
+    "regression" when the change's median is worse than the base's by more
+    than the bound; and "no regression" else.
+    """
+    sign = -1.0 if better == "lower" else 1.0  # sign * value grows as it gets better
+    base_q, change_q = quartiles(base), quartiles(change)
+    gap = sign * (change_q["median"] - base_q["median"])
+    base_iqr = base_q["q3"] - base_q["q1"]
+    allowed = bound * abs(base_q["median"])
+    won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    if won >= 0.9 * len(base) and gap > base_iqr and not more_failures:
+        judged = "gain"
+    elif (max(base_iqr, change_q["q3"] - change_q["q1"]) > allowed
+          and min(sign * c for c in change) <= max(sign * b for b in base)):
+        judged = "unresolved"
+    elif -gap > allowed:
+        judged = "regression"
+    else:
+        judged = "no regression"
+    return {"base_iqr": base_iqr, "median_gap": gap, "pairs_won": won, "verdict": judged}
 
 
 def main() -> int:
@@ -99,11 +134,6 @@ def main() -> int:
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-    def better(name, change, base):
-        return change < base if directions[name] == "lower" else change > base
-
     record = {
         "command": " ".join(["python3", "scripts/bench_pair.py", "--workload",
                              *args.workload, "--seed", str(args.seed),
@@ -139,10 +169,13 @@ def main() -> int:
             entry["change_over_base_median"] = {
                 name: entry["change"]["summary"][name]["median"] / stats["median"]
                 for name, stats in entry["base"]["summary"].items() if stats["median"]}
-            entry["pairs_change_better"] = {
-                name: sum(better(name, c["metrics"][name], b["metrics"][name])
-                          for b, c in zip(runs["base"], runs["change"]))
-                for name in directions}
+            more_failures = (sum(r["failed"] for r in runs["change"])
+                             > sum(r["failed"] for r in runs["base"]))
+            entry["verdict"] = {
+                m["name"]: verdict([r["metrics"][m["name"]] for r in runs["base"]],
+                                   [r["metrics"][m["name"]] for r in runs["change"]],
+                                   m["better"], m["bound"], more_failures)
+                for m in spec["end_to_end"]}
             record["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -290,7 +290,11 @@ def time_grid(t_final: float, dt: float, record_every: int, name: str):
 
 
 def _initial_state(model: LindbladModel, rho0: np.ndarray, name: str) -> np.ndarray:
-    """rho0 as a complex density matrix, checked against the model's dimension."""
+    """rho0 as a complex density matrix, checked against the model's dimension.
+
+    check_density_matrix takes its positivity check from
+    operators.min_eigenvalues, closed form at d = 2.
+    """
     rho = np.array(check_density_matrix(rho0), dtype=complex)
     if rho.shape != (model.dim, model.dim):
         raise ValueError(f"{name}: rho0 has shape {rho.shape}, but the model's states "

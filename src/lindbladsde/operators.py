@@ -69,7 +69,12 @@ def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def min_eigenvalues(states: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of stacked Hermitian matrices, closed form for d=2."""
+    """Smallest eigenvalue of stacked Hermitian matrices, closed form for d=2.
+
+    The package's one smallest-eigenvalue routine: the CSV column, the
+    chunk diagnostics and check_density_matrix all read it, so only d > 2
+    calls LAPACK.
+    """
     d = states.shape[-1]
     if d == 2:
         a = states[..., 0, 0].real
@@ -85,12 +90,16 @@ def purities(states: np.ndarray) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate the state invariants: Hermitian, unit trace, PSD within tolerance."""
+    """Validate the state invariants: Hermitian, unit trace, PSD within tolerance.
+
+    The smallest eigenvalue comes from min_eigenvalues, so a d = 2 state is
+    checked without an eigensolver.
+    """
     rho = check_hermitian(rho, name="density matrix")
     trace_defect = abs(np.trace(rho) - 1.0)
     if trace_defect > TRACE_TOL:
         raise ValueError(f"density matrix: |tr - 1| = {trace_defect:.3e} > {TRACE_TOL:.1e}")
-    smallest = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
+    smallest = float(min_eigenvalues(hermitian_part(rho)))
     if smallest < -PSD_TOL:
         raise ValueError(f"density matrix: min eigenvalue {smallest:.3e} < -{PSD_TOL:.1e}")
     return rho

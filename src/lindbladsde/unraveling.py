@@ -103,7 +103,7 @@ def _key_sequence():
     ISeedSequence loads numpy.random, which importing this module does not.
     """
     class KeySequence(np.random.bit_generator.ISeedSequence):
-        def __init__(self, key: np.ndarray):
+        def __init__(self, key: tuple[int, int]):
             self.key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
@@ -139,10 +139,10 @@ def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     counter is passed as a ready uint64 array: left at its default, Philox
     converts the integer 0 into that array on every construction, which
     measured about a quarter of the cost of building and filling one
-    trajectory's generator.
+    trajectory's generator. The key goes in as the checked pair of ints,
+    which Philox reads word by word, with no array built per call.
     """
-    key = np.array(_check_key(seed, traj_index), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_key_sequence()(key),
+    return np.random.Generator(np.random.Philox(_key_sequence()(_check_key(seed, traj_index)),
                                                 counter=_ZERO_COUNTER))
 
 
@@ -330,16 +330,18 @@ def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
     The one place a stepper name becomes an update: step(rho, dw) advances
     stacked states rho (..., d, d) by dt with increments dw (..., N); the
     stepper's entry of _STEP_BUILDERS builds it. rho0 (against the model's
-    dimension too), the stepper, dt, the grid and the model's eligibility
+    dimension too), the stepper, the model's eligibility, dt and the grid
     are checked here, in that order, once per run, so the kernels check
-    nothing. Returns (rho0, n_steps, record times, step).
+    nothing and a model the stepper cannot run is reported as such at any
+    dt. Returns (rho0, n_steps, record times, step).
     """
     rho0 = _initial_state(model, rho0, name)
     if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
+    step = _STEP_BUILDERS[stepper](model, dt)
     check_step_size(model, dt)
     n_steps, times = time_grid(t_final, dt, record_every, name)
-    return rho0, n_steps, times, _STEP_BUILDERS[stepper](model, dt)
+    return rho0, n_steps, times, step
 
 
 def _process_count(jobs: list) -> int:

@@ -334,6 +334,17 @@ class TestSdeCommand:
         assert code == EXIT_MODEL
         assert not out.exists()
 
+    def test_ineligible_stepper_is_reported_before_the_step_size(self, tmp_path, capsys):
+        # dt = 1.5 is refused for any stepper, but the model is the first fault
+        out = tmp_path / "mean.csv"
+        code = main(["sde", "--model", "amplitude-damping", "--t-final", "1.5",
+                     "--dt", "1.5", "--trajectories", "8",
+                     "--stepper", "exact-unitary", "--out", str(out)])
+        assert code == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "noise operator (as -iK)" in err and "refusing" not in err
+        assert not out.exists()
+
 
 class TestStatesCsv:
     @staticmethod

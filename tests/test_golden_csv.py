@@ -192,6 +192,19 @@ def test_csv_bytes_match_recorded_digest(tmp_path, monkeypatch, name):
 
 
 @recorded_numpy
+@pytest.mark.parametrize("name", ["sde-two-noise-euler", "ode-dephasing"])
+def test_qubit_runs_keep_their_bytes_without_eigvalsh(tmp_path, monkeypatch, name):
+    # at d = 2 the initial state's check and the min-eigenvalue column both
+    # take the closed form; the sde run is one chunk, so it stays in process
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(RUNS[name]) == GOLDEN_SHA256[name]
+
+
+@recorded_numpy
 @pytest.mark.parametrize("name", sorted(CHECK_RUNS))
 def test_check_report_matches_recorded_digest(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)

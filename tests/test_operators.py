@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import philox, random_complex, random_hermitian
 from lindbladsde.operators import (
+    PSD_TOL,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
@@ -83,6 +84,26 @@ class TestStructureChecks:
         bad = np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             check_density_matrix(bad)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_density_psd_edge_matches_eigvalsh_oracle(self, dim, offset, seed):
+        # a random eigenbasis with the smallest eigenvalue -PSD_TOL + offset:
+        # accepted or rejected as an eigvalsh check decides, same message
+        q, _ = np.linalg.qr(random_complex(philox(100 * dim + seed), dim))
+        lowest = -PSD_TOL + offset
+        spectrum = np.concatenate([[lowest], np.full(dim - 1, (1.0 - lowest) / (dim - 1))])
+        rho = (q * spectrum) @ q.conj().T
+        smallest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+        assert (smallest < -PSD_TOL) == (offset < 0)
+        if smallest < -PSD_TOL:
+            message = f"density matrix: min eigenvalue {smallest:.3e} < -{PSD_TOL:.1e}"
+            with pytest.raises(ValueError) as raised:
+                check_density_matrix(rho)
+            assert str(raised.value) == message
+        else:
+            assert check_density_matrix(rho) is rho
 
     def test_hermitian_rejects_nan(self):
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)

@@ -521,17 +521,19 @@ class TestRunEnsemble:
             run_ensemble(preset_model("amplitude-damping"), uniform_superposition(2), 0.1,
                          1e-3, 10, seed=0, stepper="exact_unitary")
 
-    @pytest.mark.parametrize("stepper, dt, error, message", [
-        ("milstein", 1.5, ValueError, "unknown stepper"),
-        ("exact_unitary", 1.5, NumericalError, "refusing"),
-        ("exact_unitary", 1e-3, ValueError, "record_every"),
-    ], ids=["name-first", "then-step-size", "then-grid"])
-    def test_checks_the_stepper_name_step_size_grid_then_model(self, stepper, dt, error,
-                                                               message):
-        # amplitude-damping cannot run exact_unitary, and record_every=7
-        # divides no step count here: the first check that fails raises
+    @pytest.mark.parametrize("preset, stepper, dt, error, message", [
+        ("amplitude-damping", "milstein", 1.5, ValueError, "unknown stepper"),
+        ("amplitude-damping", "exact_unitary", 1.5, ValueError, r"noise operator \(as -iK\)"),
+        ("stochastic-unitary-larmor", "exact_unitary", 1.5, NumericalError, "refusing"),
+        ("stochastic-unitary-larmor", "exact_unitary", 1e-3, ValueError, "record_every"),
+    ], ids=["name-first", "then-model", "then-step-size", "then-grid"])
+    def test_checks_the_stepper_name_model_step_size_then_grid(self, preset, stepper, dt,
+                                                               error, message):
+        # amplitude-damping cannot run exact_unitary, larmor can; dt=1.5 is
+        # refused for both, and record_every=7 divides no step count here:
+        # the first check that fails raises
         with pytest.raises(error, match=message):
-            run_ensemble(preset_model("amplitude-damping"), uniform_superposition(2), 0.1,
+            run_ensemble(preset_model(preset), uniform_superposition(2), 0.1,
                          dt, 10, seed=0, record_every=7, stepper=stepper)
 
     def test_rejects_bad_record_cadence(self):
