@@ -91,6 +91,8 @@ RUNS = {
     "sde-dephasing-multiblock": ["sde", "--model", "dephasing", "--t-final", "0.6",
                                  "--dt", "1e-3", "--trajectories", "64",
                                  "--record-every", "1"],
+    # Euler at d = 8, N = 2, where each operator keeps its own left product
+    "sde-qudit8-file": ["sde", "--model", "qudit8.json", *SDE],
 }
 
 GOLDEN_SHA256 = {
@@ -110,6 +112,8 @@ GOLDEN_SHA256 = {
         "669a29a3b5be48369b30d4b04770441c5ae80e5b446355bee81f6fbe9409513c",
     "sde-dephasing-multiblock":
         "3a5de01ed560c6ec465c105552c7c8e62a5a117d37f1fc1868e8bcc3a080c86a",
+    "sde-qudit8-file":
+        "ce47034a9fc26a11f1be80ab26e2a9cdd7fc51858e632c40b1175f076f1dbd26",
 }
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -220,16 +221,40 @@ def _stacked_euler_reference(model, rho, dt, dw):
 class TestKernelBits:
     """The batched kernels give exactly the bits of their per-state forms."""
 
-    @pytest.mark.parametrize("dim", [2, 3, 8])
+    # 16 noises at dim 3 and 5 split the left operands into several stacked
+    # products; from dim 6 each operator has its own. An id names the noise
+    # count when it is not 3.
+    @pytest.mark.parametrize("dim, noises", [
+        pytest.param(dim, noises, id=str(dim) if noises == 3 else f"{dim}-noises{noises}")
+        for dim in (1, 2, 3, 5, 8, 16) for noises in (1, 3, 16)])
     @pytest.mark.parametrize("batch", [(), (1,), (4096,)])
-    def test_euler_update_matches_stacked_products(self, dim, batch):
+    def test_euler_update_matches_stacked_products(self, dim, noises, batch):
         rng = philox(40 + dim)
-        model = random_model(rng, dim, 3)
+        model = random_model(rng, dim, noises)
         rho = (rng.standard_normal(batch + (dim, dim))
                + 1j * rng.standard_normal(batch + (dim, dim)))
-        dw = rng.standard_normal(batch + (3,)) * 0.03
-        assert np.array_equal(_euler_update(model, rho, 1e-3, dw),
-                              _stacked_euler_reference(model, rho, 1e-3, dw))
+        dw = rng.standard_normal(batch + (noises,)) * 0.03
+        # compared as raw words, so that -0.0 and 0.0 differ
+        words = [np.ascontiguousarray(x).view(np.uint64) for x in (
+            _euler_update(model, rho, 1e-3, dw), _stacked_euler_reference(model, rho, 1e-3, dw))]
+        assert np.array_equal(*words)
+
+    def test_euler_update_memory_stays_near_the_per_operator_products(self):
+        # unbounded stacking would hold two (count, 17*32, 32) arrays here
+        rng = philox(47)
+        model = random_model(rng, 32, 16)
+        rho = rng.standard_normal((64, 32, 32)) + 1j * rng.standard_normal((64, 32, 32))
+        dw = rng.standard_normal((64, 16)) * 0.03
+
+        def peak(update):
+            tracemalloc.start()
+            try:
+                update(model, rho, 1e-3, dw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(_euler_update) <= 1.25 * peak(_stacked_euler_reference)
 
     @pytest.mark.parametrize("model", [
         preset_model("stochastic-unitary-larmor"),
@@ -469,6 +494,15 @@ class TestRunEnsemble:
         deviations = finals - finals.mean(axis=0)
         variance = np.einsum("kab,kab->", deviations, deviations.conj()).real / (n_traj - 1)
         assert stats.stderr[-1] == pytest.approx(np.sqrt(variance / n_traj), rel=1e-3)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4a: the one-pass variance, "
+                       "E|rho|^2 - |mean|^2, leaves rounding (1.16e-10) as the stderr "
+                       "of identical states")
+    def test_stderr_is_zero_where_every_trajectory_holds_rho0(self):
+        # at t = 0 every trajectory is rho0 exactly, so the spread is 0
+        stats, _ = run_ensemble(preset_model("dephasing"), uniform_superposition(2), 0.02,
+                                0.02, 8192, seed=17001)
+        assert stats.stderr[0] == 0
 
     @pytest.mark.parametrize("name, stepper", [
         ("dephasing", "euler"),
