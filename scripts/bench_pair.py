@@ -17,9 +17,15 @@ between the medians and a verdict, see `verdict`.
 
 Run it from anywhere inside the repository. The base commit (default
 HEAD, the parent of uncommitted work) is extracted with `git archive`
-into a temporary directory that is removed afterwards; the repository's
-own git metadata is only read. Leave the working tree alone while it
-runs: a run whose sources changed midway is refused.
+into a temporary directory, and the working tree's files, tracked or
+untracked but not ignored, are copied into another; both are removed
+afterwards, and the repository's own git metadata is only read. So both
+sides run from the same kind of fresh directory, with no bytecode cache:
+run from the repository itself, whose `.pyc` files spare the set-up probe
+compiling the package, the working tree read a one-sided 7 % faster
+`setup_s` than an identical base. Edits to the working tree after the
+copy do not reach the run, and a run whose sources changed midway is
+refused.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +57,15 @@ def extract(commit: str, target: Path) -> None:
         subprocess.run(["tar", "-x", "-C", str(target)], stdin=archive.stdout, check=True)
     if archive.returncode != 0:
         raise RuntimeError(f"git archive {commit} failed")
+
+
+def copy_working_tree(target: Path) -> None:
+    """Copy the working tree's files, tracked or untracked but not ignored, into target."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is listed too
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, target / name)
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -145,10 +161,11 @@ def main() -> int:
         "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_dir = Path(tmp)
-        extract(base_commit, base_dir)
-        sides = {"base": base_dir, "change": ROOT}
+    with (tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change_dir):
+        sides = {"base": Path(base_dir), "change": Path(change_dir)}
+        extract(base_commit, sides["base"])
+        copy_working_tree(sides["change"])
         for workload in args.workload:
             runs = {"base": [], "change": []}
             for pair in range(PAIRS):

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import re
 import subprocess
@@ -36,10 +37,14 @@ from lindbladsde.operators import (
 )
 from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model, uniform_superposition
 from lindbladsde.unraveling import (
+    _GROUP_MULTIPLIES,
     _ChunkSums,
     _correlate,
+    _euler_step,
     _euler_update,
     _exact_unitary_step,
+    _grouped_matmul,
+    _run_chunk,
     _trajectory_increments,
     _unitary_update,
     run_ensemble,
@@ -218,6 +223,40 @@ def _stacked_euler_reference(model, rho, dt, dw):
     return hermitian_part(out)
 
 
+def _ungrouped_unitary_reference(h, k, rho, dt, dw):
+    """_unitary_update with each product a batched matmul, one BLAS call per state."""
+    w, q = np.linalg.eigh(h * dt + k * np.expand_dims(dw, (-1, -2)))
+    v = (q * np.exp(-1j * w)[..., None, :]) @ adjoint(q)
+    return hermitian_part(v @ rho @ adjoint(v))
+
+
+def words(x):
+    """x as raw 64-bit words, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def positive_zero_words(x):
+    """The words of x + 0.0, which is x with every -0.0 turned into +0.0."""
+    return words(x + 0.0)
+
+
+def group_counts(m, d):
+    """1, 3, K - 1, K + 1 and 4097 for the group size K of an (m x d)(d x d)
+    grouped product, the largest with K^2 m d d <= _GROUP_MULTIPLIES."""
+    k = max(1, math.isqrt(_GROUP_MULTIPLIES // (m * d * d)))
+    return sorted({1, 3, k - 1, k + 1, 4097} - {0})
+
+
+def with_exact_zeros(states):
+    """states with every third one replaced by |0><0|, every other of those
+    with its zeros -0.0 in both parts."""
+    states = states.copy()
+    states[::3] = 0.0
+    states[::6] = complex(-0.0, -0.0)
+    states[::3, 0, 0] = 1.0
+    return states
+
+
 class TestKernelBits:
     """The batched kernels give exactly the bits of their per-state forms."""
 
@@ -227,17 +266,131 @@ class TestKernelBits:
     @pytest.mark.parametrize("dim, noises", [
         pytest.param(dim, noises, id=str(dim) if noises == 3 else f"{dim}-noises{noises}")
         for dim in (1, 2, 3, 5, 8, 16) for noises in (1, 3, 16)])
-    @pytest.mark.parametrize("batch", [(), (1,), (4096,)])
+    @pytest.mark.parametrize("batch", [(), (1,), (4096,), (4097,)])
     def test_euler_update_matches_stacked_products(self, dim, noises, batch):
         rng = philox(40 + dim)
         model = random_model(rng, dim, noises)
         rho = (rng.standard_normal(batch + (dim, dim))
                + 1j * rng.standard_normal(batch + (dim, dim)))
         dw = rng.standard_normal(batch + (noises,)) * 0.03
-        # compared as raw words, so that -0.0 and 0.0 differ
-        words = [np.ascontiguousarray(x).view(np.uint64) for x in (
-            _euler_update(model, rho, 1e-3, dw), _stacked_euler_reference(model, rho, 1e-3, dw))]
-        assert np.array_equal(*words)
+        assert np.array_equal(words(_euler_update(model, rho, 1e-3, dw)),
+                              words(_stacked_euler_reference(model, rho, 1e-3, dw)))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("noises", range(1, 9))
+    def test_euler_update_keeps_signed_zeros(self, dim, noises):
+        # G is summed term by term from zeros, with some increments exactly
+        # +0.0 or -0.0 and states |0><0|; the result is the einsum form's
+        # with every zero +0.0, in a batch of one (no grouping) and of ten
+        rng = philox(60 + noises)
+        model = random_model(rng, dim, noises)
+        rho = with_exact_zeros(rng.standard_normal((10, dim, dim))
+                               + 1j * rng.standard_normal((10, dim, dim)))
+        dw = rng.standard_normal((10, noises)) * 0.03
+        dw[::2] = 0.0
+        dw[1::4] = -0.0
+        for batch in (slice(0, 1), slice(None)):
+            expected = _stacked_euler_reference(model, rho[batch], 1e-3, dw[batch])
+            assert np.array_equal(words(_euler_update(model, rho[batch], 1e-3, dw[batch])),
+                                  positive_zero_words(expected))
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("rows", ["square", "stacked"])
+    @pytest.mark.parametrize("right", ["dense", "adjoint"])
+    def test_grouped_matmul_matches_matmul(self, dim, rows, right):
+        # m = d as in rho G^dagger and the exact-unitary products, m = 4 d as
+        # in [G; v_1; v_2; v_3] rho; the counts leave a short last group. An
+        # exact zero may change sign (the zero columns of |0><0| do), so
+        # zeros are compared as +0.0 and everything else bit for bit
+        m = dim if rows == "square" else 4 * dim
+        rng = philox(70 + dim)
+        for count in group_counts(m, dim):
+            a = rng.standard_normal((count, m, dim)) + 1j * rng.standard_normal((count, m, dim))
+            b = with_exact_zeros(rng.standard_normal((count, dim, dim))
+                                 + 1j * rng.standard_normal((count, dim, dim)))
+            if right == "adjoint":
+                b = adjoint(b)
+            assert np.array_equal(positive_zero_words(_grouped_matmul(a, b)),
+                                  positive_zero_words(a @ b)), count
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("batch", [(), (1,), (3,), (4097,)])
+    @pytest.mark.parametrize("operators", ["random", "diagonal"])
+    def test_unitary_update_matches_per_state_products(self, dim, batch, operators):
+        # diagonal H and K give a diagonal V, whose products with |0><0|
+        # are mostly exact zeros; the result is the reference's, zeros +0.0
+        rng = philox(80 + dim)
+        h, k = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        if operators == "diagonal":
+            h, k = np.diag(np.diag(h)), np.diag(np.diag(k))
+        rho = (rng.standard_normal(batch + (dim, dim))
+               + 1j * rng.standard_normal(batch + (dim, dim)))
+        if batch:
+            rho = with_exact_zeros(rho)
+        dw = rng.standard_normal(batch) * 0.03
+        assert np.array_equal(words(_unitary_update(h, k, rho, 1e-3, dw)),
+                              positive_zero_words(
+                                  _ungrouped_unitary_reference(h, k, rho, 1e-3, dw)))
+
+    def test_non_finite_left_factor_stays_in_its_trajectory(self):
+        rng = philox(90)
+        a = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+        b = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+        a[5, 1, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            out, expected = _grouped_matmul(a, b), a @ b
+        finite = np.isfinite(out).all(axis=(-1, -2))
+        assert np.flatnonzero(~finite).tolist() == [5]
+        assert np.array_equal(positive_zero_words(out[finite]),
+                              positive_zero_words(expected[finite]))
+
+    @pytest.mark.parametrize("kernel", ["euler", "exact_unitary"])
+    def test_overflowing_state_stays_in_its_trajectory(self, kernel):
+        # trajectory 5 of 9 holds a finite state whose step overflows
+        rng = philox(91)
+        rho = np.array([random_density(rng, 2) for _ in range(9)])
+        rho[5] = 1.7e308
+        if kernel == "euler":
+            model = random_model(rng, 2, 2)
+            dw = rng.standard_normal((9, 2)) * 0.03
+
+            def steps():
+                return (_euler_update(model, rho, 1e-3, dw),
+                        _stacked_euler_reference(model, rho, 1e-3, dw))
+        else:
+            h, k = random_hermitian(rng, 2), random_hermitian(rng, 2)
+            dw = rng.standard_normal(9) * 0.03
+
+            def steps():
+                return (_unitary_update(h, k, rho, 1e-3, dw),
+                        _ungrouped_unitary_reference(h, k, rho, 1e-3, dw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, expected = steps()
+        finite = np.isfinite(out).all(axis=(-1, -2))
+        assert np.flatnonzero(~finite).tolist() == [5]
+        assert np.array_equal(words(out[finite]), positive_zero_words(expected[finite]))
+
+    def test_chunk_failure_names_the_trajectory_and_time_of_ungrouped_products(
+            self, monkeypatch):
+        # From |0><0|, Hermitian noise c sigma_z multiplies rho_00 by
+        # 1 + 2 c dW a step; with c sqrt(dt) = 949 that grows by orders of
+        # magnitude, at its own rate in each trajectory of the chunk
+        model = LindbladModel(hamiltonian=np.zeros((2, 2), complex),
+                              lindblad_ops=np.array([3e4 * SIGMA_Z]),
+                              weights=np.array([1.0]), covariance=np.eye(1))
+        args = (_euler_step(model, 1e-3), np.diag([1.0, 0.0]), model.noise_basis,
+                1e-3, 400, 1, 5, 11, 9)
+
+        def failure():
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError) as caught:
+                    _run_chunk(*args)
+            return str(caught.value)
+
+        grouped = failure()
+        monkeypatch.setattr("lindbladsde.unraveling._grouped_matmul", np.matmul)
+        assert grouped == failure()
+        assert re.fullmatch(r"trajectory \d+: non-finite state at t=0\.\d+", grouped)
 
     def test_euler_update_memory_stays_near_the_per_operator_products(self):
         # unbounded stacking would hold two (count, 17*32, 32) arrays here
