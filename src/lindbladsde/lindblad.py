@@ -9,6 +9,7 @@ dimensionless.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -271,7 +272,9 @@ def time_grid(t_final: float, dt: float, record_every: int, name: str):
     t_final has to be a whole number of steps dt within rounding, and
     record_every a divisor of that number. A run records its initial state
     and the state after every record_every-th step, at the times 0,
-    record_every, ..., n_steps times dt.
+    record_every, ..., n_steps times dt. record_every goes through
+    operator.index, so a float raises TypeError, as a seed does, instead of
+    giving times that the recorded states do not match.
     """
     require_positive(name, t_final=t_final, dt=dt)
     steps = t_final / dt
@@ -282,7 +285,7 @@ def time_grid(t_final: float, dt: float, record_every: int, name: str):
         raise ValueError(
             f"{name}: dt={dt!r} does not divide t_final={t_final!r}"
         )
-    if record_every < 1 or n % record_every != 0:
+    if operator.index(record_every) < 1 or n % record_every != 0:
         raise ValueError(
             f"{name}: record_every={record_every} must divide the step count {n}"
         )

@@ -147,31 +147,20 @@ def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
                                                 counter=_ZERO_COUNTER))
 
 
-# Complex multiplies per trajectory in one stacked left product of
-# _euler_update: m operators of size d share a product while m d^3 <= this,
-# so the stacked operand and its product each hold at most 384 / d complex
-# numbers per trajectory. Stacking saves BLAS calls but copies each v_n rho
-# out of its stack. Per step of a 4096-trajectory batch, one BLAS thread
-# (median of 9-11 interleaved runs against one product per operator): d = 2,
-# N = 16 took 15 ms against 35 ms; d = 3, N = 16 25 against 45; d = 4,
-# N = 16 40 against 50; d = 5, N = 8 37 against 40. Pairs of operators lost:
-# 33 against 30 ms at d = 6, N = 4, and 46 against 42 at d = 7, N = 4; at
-# d = 8 and 16 with N = 16, larger groups lost 15-20 %. So from d = 6 each
-# operator keeps its own product.
-_STACK_MULTIPLIES = 384
-
-# Complex multiplies in one BLAS call of _grouped_matmul: K trajectories
-# with (m x d)(d x n) products share a call while its K^2 m d n multiplies
-# stay <= this. A call saves K - 1 calls' overhead but multiplies K - 1
-# blocks of zeros per trajectory, so the best K falls like 1 / sqrt(m d n).
-# Grouped against one call per trajectory, 4096 trajectories, one BLAS
-# thread, medians of 30 interleaved runs, dense and adjoint right factors:
-# (m, d) = (2, 2), K = 6: 0.41-0.48 of the time; (6, 2), K = 3: 0.77-0.85;
-# (10, 2), K = 2: 0.92-0.98; (3, 3), K = 3: 0.71-0.74; (4, 4), K = 2:
-# 0.84-0.94. K = 2 lost at (9, 3), 1.03-1.07, and at (5, 5), 1.04-1.27,
-# so those and all d >= 5 keep K = 1. A 50-step 4096-trajectory chunk of
-# two-noise-correlated went from 6.1 to 5.1 ms a step, and one of
-# exact-unitary larmor from 6.2 to 4.6 ms.
+# Complex multiplies in one BLAS call, the one budget of the kernels'
+# batched products. Both ways of filling a call trade the call's overhead
+# against work it adds: a stack of m operators of size d in _euler_update
+# (m d^3 <= this, so m = 36 at d = 2, 10 at d = 3, 4 at d = 4, 2 at d = 5)
+# copies each v_n rho out of its product, and K trajectories in one call of
+# _grouped_matmul (K^2 m d n <= this) multiply K - 1 blocks of zeros each,
+# so the best K falls like 1 / sqrt(m d n). Per 4096-trajectory batch, one
+# BLAS thread, medians of interleaved runs: grouped against one call per
+# trajectory, (m, d) = (2, 2), K = 6 took 0.41-0.48 of the time; (6, 2),
+# K = 3: 0.77-0.85; (10, 2), K = 2: 0.92-0.98; (3, 3), K = 3: 0.71-0.74;
+# (4, 4), K = 2: 0.84-0.94, while K = 2 lost at (9, 3) and (5, 5). Pairs
+# of operators lost at d = 6 and 7 (33 against 30 ms, 46 against 42 at
+# N = 4), so from d = 6 each operator has its own product and from d = 5
+# each trajectory its own call.
 _GROUP_MULTIPLIES = 288
 
 
@@ -243,28 +232,29 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
     of the update without changing them. G is summed in place, term by term
     in n order from zeros, which has the bits of the einsum over n.
 
-    The left products G rho and v_n rho come from stacked products: each
-    trajectory's operators [G; v_1; ...; v_N] are stacked by rows, in
-    groups of m with m d^3 <= _STACK_MULTIPLIES, into one (m d x d) left
-    operand, which multiplies rho in one batched matmul. Extra rows only
-    lengthen BLAS's loop over rows, so every entry is the same chain of
+    Every per-trajectory product fills its BLAS calls under the one budget
+    _GROUP_MULTIPLIES. The left products G rho and v_n rho come from stacked
+    products: each trajectory's operators [G; v_1; ...; v_N] are stacked by
+    rows, in groups of m with m d^3 <= _GROUP_MULTIPLIES, into one (m d x d)
+    left operand, which multiplies rho in one batched matmul. Extra rows
+    only lengthen BLAS's loop over rows, so every entry is the same chain of
     multiply-adds as in its own d x d product, and the bits are the same.
-    At d = 2 a step makes two batched products, [G; v_1; ...] rho and
-    rho G^dagger, instead of N + 2; from d = 6 each operator has its own
-    product, as without stacking. Both per-trajectory products go through
-    _grouped_matmul, which puts several trajectories in each BLAS call,
-    again with the same bits up to the sign of zeros. Two other forms
-    change bits and are ruled out: rho G^dagger taken as (G rho)^dagger,
-    whose imaginary parts differ at d = 2, and the states stacked by
-    columns, v [rho_1 | rho_2 | ...], whose bits differ at d = 2, 3 and 5.
+    At d = 2 and N < 36 a step makes two batched products, [G; v_1; ...] rho
+    and rho G^dagger, instead of N + 2; from d = 6 each operator has its own
+    product, as without stacking. Each of these products, rho G^dagger and
+    every stack, goes through _grouped_matmul, which puts as many
+    trajectories in each BLAS call as the same budget allows, again with the
+    same bits up to the sign of zeros. Two other forms change bits and are
+    ruled out: rho G^dagger taken as (G rho)^dagger, whose imaginary parts
+    differ at d = 2, and the states stacked by columns,
+    v [rho_1 | rho_2 | ...], whose bits differ at d = 2, 3 and 5.
     """
     d = model.dim
     rows = model.lindblad_ops.reshape(-1, d)  # v_1; v_2; ... stacked by rows
-    size = max(1, _STACK_MULTIPLIES // d**3) * d  # rows of one stacked product
-    left = np.empty(dw.shape[:-1] + (min(size, d + len(rows)), d), dtype=complex)
+    size = max(1, _GROUP_MULTIPLIES // d**3) * d  # rows of one stacked product
+    left = np.zeros(dw.shape[:-1] + (min(size, d + len(rows)), d), dtype=complex)
     left[..., d:, :] = rows[:size - d]
     g = left[..., :d, :]
-    g[...] = 0
     coefficients = dw * model.weights
     for n, v in enumerate(model.lindblad_ops):
         g += coefficients[..., n, None, None] * v
@@ -281,7 +271,7 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
         at = (n + 1) * d % size  # first row of v_n rho in its stacked product
         if at == 0:
             del stacked
-            stacked = rows[n * d:n * d + size] @ rho
+            stacked = _grouped_matmul(rows[n * d:n * d + size], rho)
         # The right factor is one product over the whole trajectory batch,
         # (count*d x d)(d x d), with the bits of count stacked d x d
         # products; the reshape copies v_n rho's rows out of a larger stack.

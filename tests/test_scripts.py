@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args, rows", [
     ("trace_contrast.py",
      ["--t-final", "0.1", "--dt", "1e-3", "--trajectories", "8"], len(PRESET_NAMES)),
-    ("ensemble_convergence.py", ["--t-final", "0.01", "--counts", "8", "16"], 2),
     # 50 steps: the record cadence has to divide a step count that 100 does not
     ("trace_contrast.py",
      ["--t-final", "0.05", "--dt", "1e-3", "--trajectories", "8"], len(PRESET_NAMES)),

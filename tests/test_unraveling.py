@@ -260,12 +260,16 @@ def with_exact_zeros(states):
 class TestKernelBits:
     """The batched kernels give exactly the bits of their per-state forms."""
 
-    # 16 noises at dim 3 and 5 split the left operands into several stacked
-    # products; from dim 6 each operator has its own. An id names the noise
-    # count when it is not 3.
+    # A stacked product holds 288 // dim^3 of the operators G, v_1, ...: 16
+    # noises at dim 3, 4 and 5, 3 at dim 5, 10 at dim 3 and 40 at dim 2
+    # split them into several stacked products, and from dim 6 each
+    # operator has its own. The last stack of (4, 16), (3, 10) and (2, 40)
+    # is grouped, K = 2, 3 and 2 trajectories per BLAS call. An id names
+    # the noise count when it is not 3.
     @pytest.mark.parametrize("dim, noises", [
         pytest.param(dim, noises, id=str(dim) if noises == 3 else f"{dim}-noises{noises}")
-        for dim in (1, 2, 3, 5, 8, 16) for noises in (1, 3, 16)])
+        for dim, noises in [*((dim, noises) for dim in (1, 2, 3, 4, 5, 8, 16)
+                              for noises in (1, 3, 16)), (3, 10), (2, 40)]])
     @pytest.mark.parametrize("batch", [(), (1,), (4096,), (4097,)])
     def test_euler_update_matches_stacked_products(self, dim, noises, batch):
         rng = philox(40 + dim)
@@ -1129,6 +1133,29 @@ class TestRunnerKeys:
     def test_run_ensemble_rejects_floats(self, keys):
         with pytest.raises(TypeError):
             run_ensemble(*self.ARGS, **{"n_traj": 4, "seed": 1, **keys})
+
+    @pytest.mark.parametrize("runner", ["trajectory", "ensemble", "ode"])
+    @pytest.mark.parametrize("record_every", [2.0, 2.5])
+    def test_runners_reject_float_record_every(self, runner, record_every):
+        # a float cadence could record more times than states, or index by a float
+        with pytest.raises(TypeError):
+            self.run(runner, record_every)
+
+    @pytest.mark.parametrize("runner", ["trajectory", "ensemble", "ode"])
+    def test_numpy_integer_record_every_keeps_the_run(self, runner):
+        (times, states), (expected_times, expected_states) = (
+            self.run(runner, np.int64(2)), self.run(runner, 2))
+        assert np.array_equal(times, expected_times) and len(times) == 2
+        assert np.array_equal(states, expected_states)
+
+    def run(self, runner, record_every):
+        """The recorded times and states of a 2-step run of one runner."""
+        if runner == "ensemble":
+            stats, _ = run_ensemble(*self.ARGS, n_traj=16, seed=1, record_every=record_every)
+            return stats.times, stats.mean_state
+        result = (integrate_ode(*self.ARGS, record_every=record_every) if runner == "ode"
+                  else run_trajectory(*self.ARGS, seed=1, record_every=record_every))
+        return result.times, result.states
 
     def test_boolean_count_is_one_trajectory(self):
         stats, _ = run_ensemble(*self.ARGS, n_traj=True, seed=1)
