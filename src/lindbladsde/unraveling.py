@@ -19,7 +19,8 @@ one trajectory, or all n_traj of an ensemble. The driver cuts the range
 into fixed-size chunks, and each chunk reports one record, _ChunkSums: the
 sums of its recorded states and squared norms, its trace extremes and its
 smallest eigenvalue. That record is all that crosses the worker boundary,
-and the records are merged in chunk order.
+and the records are folded in chunk order as they arrive, so a run holds
+one record and the running sum, not one record per chunk.
 
 Randomness contract: increments come from the counter-based Philox
 generator keyed by (seed, trajectory index), drawn in step order within a
@@ -28,9 +29,10 @@ trajectories are scheduled, and ensemble reductions run in a fixed
 trajectory-index order with a fixed chunk size, so results are
 bit-reproducible for a given (seed, n_traj, dt, model) regardless of the
 worker count. _map_chunks evaluates the chunks in worker processes forked
-directly, one per usable CPU up to the chunk count; each sends its records
-back as one pickle through its own pipe, and a worker that dies before
-sending them, killed by a signal for example, raises WorkerDiedError
+directly, one per usable CPU up to the chunk count; each writes one pickle
+frame per chunk to its own pipe as soon as the chunk is done, the parent
+reads the frames in chunk order, and a worker that dies before sending a
+chunk's frame, killed by a signal for example, raises WorkerDiedError
 rather than hanging. run_ensemble's workers=n thread pool, which
 _map_chunks also runs, is kept only because the benchmark's own tests pin
 it.
@@ -469,8 +471,8 @@ def _process_count(jobs: list) -> int:
     return min(len(jobs), len(os.sched_getaffinity(0)))
 
 
-def _map_chunks(work, jobs: list, workers: int = 1) -> list:
-    """[work(job) for job in jobs], in forked worker processes when it pays.
+def _map_chunks(work, jobs: list, workers: int = 1):
+    """Yield work(job) for each job in order, from forked worker processes when it pays.
 
     The one place that chooses how chunks run. workers above 1 selects a
     thread pool of that size instead of processes; it measured slower than
@@ -478,26 +480,33 @@ def _map_chunks(work, jobs: list, workers: int = 1) -> list:
     because the benchmark's own tests pin it. Otherwise, when
     _process_count allows P > 1 processes, P children are forked and child
     p runs jobs p, p+P, ... through work, which reaches it by fork, not
-    pickling. Each child sends one pickle back through its own pipe, see
-    _run_jobs; this process runs no job, so no chunk adds to its memory.
+    pickling. Each child writes one pickle frame per job to its own pipe,
+    see _run_jobs; this process runs no job, so no chunk adds to its memory.
 
-    Results come back in job order whichever way the jobs ran, and the
-    exception raised is that of the lowest-index failing job, as in the
-    serial loop. A child that dies before its payload is complete, killed
-    by a signal for example, raises WorkerDiedError naming its exit status
-    or signal. No child outlives the call: on any exit, Ctrl-C included, the
-    children still running are killed and reaped.
+    The results are yielded in job order whichever way the jobs ran, each
+    as soon as it is read, so a consumer that folds them holds one at a
+    time. Job i is read from child i mod P, so this process only waits on
+    the child that owns the lowest unread job, while a child only ever
+    waits on its own pipe: no deadlock. The first failure read is that of
+    the lowest-index failing job, so its exception is raised, as in the
+    serial loop. A child whose pipe ends before the frame of a job it owns,
+    killed by a signal for example, raises WorkerDiedError naming its exit
+    status or signal. No child outlives the generator: on any exit, Ctrl-C
+    and an early close() included, the children still running are killed
+    and reaped.
     """
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, jobs))
+            yield from pool.map(work, jobs)
+        return
     processes = _process_count(jobs)
     if processes == 1:
-        return [work(job) for job in jobs]
+        yield from map(work, jobs)
+        return
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # unflushed output would be written twice
             stream.flush()
-    children = {}  # pid: read end of its pipe, None once opened, until reaped
+    children = {}  # pid: read end of its pipe as a file, until reaped
     try:
         for p in range(processes):
             read, write = os.pipe()
@@ -505,35 +514,27 @@ def _map_chunks(work, jobs: list, workers: int = 1) -> list:
             if pid == 0:
                 os.close(read)
                 _run_jobs(work, jobs, p, processes, write)  # never returns
-            children[pid] = read
+            children[pid] = os.fdopen(read, "rb")
             os.close(write)
-        results, failures = [None] * len(jobs), []
-        for p, pid in enumerate(list(children)):
-            # to EOF before waitpid: a child blocked on a full pipe never exits
-            with os.fdopen(children[pid], "rb") as pipe:
-                children[pid] = None
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
+        pids = list(children)
+        for i in range(len(jobs)):
+            pid = pids[i % processes]
             try:
-                done, failure = pickle.loads(payload)
+                failed, value = pickle.load(children[pid])
             except Exception:
-                code = os.waitstatus_to_exitcode(status)
+                # closed first, so a child still writing gets EPIPE and exits
+                children.pop(pid).close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 cause = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
                          if code < 0 else f"exited with status {code}")
                 raise WorkerDiedError(f"chunk worker {pid} {cause} before it sent "
                                       f"its results") from None
-            for i, record in zip(range(p, len(jobs), processes), done):
-                results[i] = record
-            if failure is not None:
-                failures.append(failure)
-        if failures:
-            raise min(failures, key=operator.itemgetter(0))[1]
-        return results
+            if failed:
+                raise value
+            yield value
     finally:
-        for pid, read in children.items():
-            if read is not None:
-                os.close(read)
+        for pid, pipe in children.items():
+            pipe.close()
             os.kill(pid, signal.SIGKILL)  # unreaped, so at worst a zombie
             os.waitpid(pid, 0)
 
@@ -541,23 +542,24 @@ def _map_chunks(work, jobs: list, workers: int = 1) -> list:
 def _run_jobs(work, jobs: list, first: int, stride: int, fd: int):
     """A forked child of _map_chunks: run jobs first, first+stride, ... and exit.
 
-    Writes one pickle to the pipe fd: the list of records of the jobs run,
-    in order, and either None or (index, exception) for the first job that
-    raised, where the child stops. Leaves with os._exit, so none of the
+    Writes one pickle frame to the pipe fd per job, as soon as the job is
+    done: (False, record), or (True, exception) for a job that raised,
+    after which the child stops. Leaves with os._exit, so none of the
     parent's cleanup, buffered output or exit handlers runs twice; the exit
-    status is 0 only when the whole payload was written.
+    status is 0 only when every frame was written.
     """
     status = 1
     try:
-        done, failure = [], None
-        for i in range(first, len(jobs), stride):
-            try:
-                done.append(work(jobs[i]))
-            except Exception as exc:
-                failure = (i, exc)
-                break
         with os.fdopen(fd, "wb") as pipe:
-            pipe.write(pickle.dumps((done, failure)))
+            for i in range(first, len(jobs), stride):
+                try:
+                    frame = (False, work(jobs[i]))
+                except Exception as exc:
+                    frame = (True, exc)
+                pickle.dump(frame, pipe)
+                pipe.flush()
+                if frame[0]:
+                    break
         status = 0
     finally:
         os._exit(status)
@@ -570,8 +572,9 @@ def _run_range(model, rho0, t_final, dt, record_every, stepper, name, seed,
     The one driver of both runners. The last trajectory's key is checked
     before any work, then _prepare runs once, the range is cut into
     _CHUNK_TRAJECTORIES-trajectory jobs from start, and _map_chunks runs
-    them. Their records are merged in chunk order, so the result is the
-    same however the jobs ran.
+    them. Their records are folded in chunk order as _map_chunks yields
+    them, so the result is the same however the jobs ran, and no more than
+    one record waits to be folded.
     """
     _check_key(seed, start + count - 1)
     rho0, n_steps, times, step = _prepare(
@@ -613,13 +616,13 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     once into one update that every chunk applies. Trajectories are evolved
     in fixed-size chunks, vectorized over the chunk. The chunks run in
     forked worker processes, one per usable CPU up to the chunk count, each
-    sending its records back through a pipe, or in order in this process
-    when there is one chunk, one usable CPU or another live thread. Each
-    chunk's sums and extremes are reduced in chunk order, so the result is
-    identical for a given (seed, n_traj, dt, model) whatever the worker
-    count, and a failure is that of the lowest-index failing chunk. A
-    worker that dies before sending its records, killed by a signal for
-    example, raises WorkerDiedError naming its exit status or signal, and no
+    sending a chunk's record back through a pipe as soon as the chunk is
+    done, or in order in this process when there is one chunk, one usable
+    CPU or another live thread. Each chunk's sums and extremes are folded
+    in chunk order as they arrive, so the result is identical for a given
+    (seed, n_traj, dt, model) whatever the worker count, and a failure is
+    that of the lowest-index failing chunk. A worker that dies before
+    sending a chunk's record, killed by a signal for example, raises WorkerDiedError naming its exit status or signal, and no
     worker outlives the call. Trace extremes are tracked at every step,
     eigenvalue and purity diagnostics at the recorded samples.
 

@@ -29,6 +29,7 @@ from lindbladsde.lindblad import (
     lindblad_rhs,
 )
 from lindbladsde.operators import (
+    CLIP_TOL,
     SIGMA_MINUS,
     SIGMA_Z,
     adjoint,
@@ -958,6 +959,63 @@ except KeyboardInterrupt:
                     "interrupt": ["interrupted"]}[ending]
         assert result.stdout.splitlines() == expected + ["True"]
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_failure_before_a_dead_worker_raises_the_serial_exception(self, cpus):
+        # chunk 1 fails in worker 1 while worker 0, which ran chunk 0, dies in
+        # chunk 2; the serial loop never reaches chunk 2
+        result = run_python(TWO_CPU_RUN + f"""
+os.sched_getaffinity = lambda pid: {cpus!r}
+original = unr._run_chunk
+def failing(*args):
+    if args[-2] == 4096:
+        raise NumericalError("chunk 1")
+    if args[-2] == 8192:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return original(*args)
+unr._run_chunk = failing
+try:
+    run()
+except RuntimeError as exc:
+    print(type(exc).__name__, exc)
+print(no_child_left())
+""")
+        assert result.stdout.splitlines() == ["NumericalError chunk 1", "True"]
+
+    @pytest.mark.parametrize("ending", ["close", "consumer-raises"])
+    def test_stopping_early_leaves_no_worker(self, ending):
+        # the workers are still busy with later jobs when the consumer stops
+        # after two records, through close() or an exception in the fold
+        take_two = {
+            "close": """
+records = unr._map_chunks(work, list(range(6)))
+taken = [next(records), next(records)]
+records.close()
+""",
+            "consumer-raises": """
+def stop(first, second):
+    taken.extend([first, second])
+    raise ValueError("consumer stops")
+taken = []
+try:
+    functools.reduce(stop, unr._map_chunks(work, list(range(6))))
+except ValueError:
+    pass
+""",
+        }[ending]
+        result = run_python(TWO_CPU_RUN + """
+import functools
+def work(job):
+    if job >= 2:
+        time.sleep(60)
+    return job
+start = time.monotonic()
+""" + take_two + """
+print(taken)
+print(time.monotonic() - start < 10)
+print(no_child_left())
+""")
+        assert result.stdout.splitlines() == ["[0, 1]", "True", "True"]
+
 
 # Python source that makes two CPUs usable and defines run(), a three-chunk
 # ensemble that forks two workers, and no_child_left().
@@ -990,6 +1048,106 @@ def run_python(code: str) -> subprocess.CompletedProcess:
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result
+
+
+# A case whose chunk records are large against the work that makes them:
+# a d = 8 model run for 64 steps, every step recorded, so one trajectory's
+# record holds 65 complex 8 x 8 states, RECORD_BYTES in all.
+MEMORY_CASE = """
+import sys
+sys.path.insert(0, {tests!r})
+from conftest import philox, random_model
+import lindbladsde.unraveling as unr
+from lindbladsde.presets import uniform_superposition
+MODEL = random_model(philox(61), 8, 2)
+def run_memory_case(n_traj):
+    return unr.run_ensemble(MODEL, uniform_superposition(8), 64 * 1e-4, 1e-4, n_traj,
+                            seed=9)
+""".format(tests=str(Path(__file__).resolve().parent))
+RECORD_BYTES = 65 * 8 * 8 * 16
+FEW_CHUNKS, MANY_CHUNKS = 16, 256
+
+
+class TestChunkMemory:
+    """Memory does not grow with the chunk count: records are folded as they arrive.
+
+    With one trajectory per chunk, MANY_CHUNKS - FEW_CHUNKS = 240 more
+    records pass through a run, 16 MiB if they were all kept, 8 MiB in
+    each of two workers. The bounds allow the parent's peak to grow by 8
+    records and a worker's by 4 MiB, about 60 records.
+    """
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "forked"])
+    def test_parent_peak_does_not_grow_with_the_chunk_count(self, cpus):
+        # traced in this process only; one untraced chunk first pays for
+        # what a first run loads
+        result = run_python(TWO_CPU_RUN + MEMORY_CASE + f"""
+import tracemalloc
+os.sched_getaffinity = lambda pid: {cpus!r}
+os.register_at_fork(after_in_child=tracemalloc.stop)
+unr._CHUNK_TRAJECTORIES = 1
+run_memory_case(1)
+for n_traj in ({FEW_CHUNKS}, {MANY_CHUNKS}):
+    tracemalloc.start()
+    run_memory_case(n_traj)
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+""")
+        few, many = map(int, result.stdout.split())
+        assert many <= few + 8 * RECORD_BYTES
+
+    def test_worker_peak_rss_does_not_grow_with_the_chunk_count(self):
+        # ru_maxrss of the reaped children is the largest worker's peak, in KiB
+        result = run_python(TWO_CPU_RUN + MEMORY_CASE + f"""
+import resource
+unr._CHUNK_TRAJECTORIES = 1
+for n_traj in ({FEW_CHUNKS}, {MANY_CHUNKS}):
+    run_memory_case(n_traj)
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+""")
+        few, many = map(int, result.stdout.split())
+        assert many <= few + 4 * 1024
+
+
+class TestRandomnessContract:
+    """run_trajectory(seed, i) follows the path of trajectory_rng(seed, i)'s own draws.
+
+    The reference uses none of the package's kernels: the increments come
+    from the raw covariance's eigh, and the update is written out from the
+    raw operators, so an increment with its sign flipped or taken from
+    another trajectory's draws is caught.
+    """
+
+    @pytest.mark.parametrize("model, dim", [
+        (preset_model("amplitude-damping"), 2),
+        (preset_model("two-noise-correlated"), 2),
+        (random_model(philox(73), 3, 3, rank=2), 3),
+    ], ids=["amplitude-damping", "two-noise-correlated", "rank2-n3"])
+    @pytest.mark.parametrize("index", [0, 4097])
+    def test_run_trajectory_follows_its_own_draws(self, model, dim, index):
+        seed, dt, n_steps = 31, 1e-3, 40
+        h, ops, weights = model.hamiltonian, model.lindblad_ops, model.weights
+        values, vectors = np.linalg.eigh(model.covariance)
+        values = np.where(values <= CLIP_TOL, 0.0, values)
+        normals = trajectory_rng(seed, index).standard_normal((n_steps, len(weights)))
+        dws = (normals * np.sqrt(values * dt)) @ vectors.T
+
+        rho = uniform_superposition(dim)
+        expected = [rho]
+        for dw in dws:
+            drift = -1j * (h @ rho - rho @ h)
+            noise = np.zeros_like(rho)
+            for v, weight, dw_n in zip(ops, weights, dw):
+                vdag = v.conj().T
+                drift = drift + v @ rho @ vdag - 0.5 * (vdag @ v @ rho + rho @ vdag @ v)
+                noise = noise + weight * dw_n * (v @ rho + rho @ vdag)
+            rho = rho + noise + dt * drift
+            rho = 0.5 * (rho + rho.conj().T)
+            expected.append(rho)
+
+        traj = run_trajectory(model, uniform_superposition(dim), n_steps * dt, dt, seed,
+                              traj_index=index)
+        assert np.abs(traj.states - np.array(expected)).max() <= 1e-12
 
 
 class TestChunkSums:
