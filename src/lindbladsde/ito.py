@@ -1,13 +1,13 @@
 """First-order stochastic differential algebra with operator coefficients.
 
 Elements are polynomials over the basis {1, dt, dW^1 .. dW^N} whose
-coefficients are dense complex matrices. Multiplication applies the
-increment rules dW^m dW^n = cov[m, n] dt and dW^m dt = 0, and silently
-drops everything of order dt*dW, dt^2 or higher; that truncation is the
-definition of the algebra, not an approximation knob. Coefficients are
-matrices rather than scalars so left/right operator ordering survives the
-expansion, which is the whole point: the state and the noise operators do
-not commute.
+coefficients are dense complex matrices, held as one (N + 2, d, d) stack
+in that order. Multiplication applies the increment rules
+dW^m dW^n = cov[m, n] dt and dW^m dt = 0, and silently drops everything of
+order dt*dW, dt^2 or higher; that truncation is the definition of the
+algebra, not an approximation knob. Coefficients are matrices rather than
+scalars so left/right operator ordering survives the expansion, which is
+the whole point: the state and the noise operators do not commute.
 
 The algebra exists to check, mechanically, that the one-step expansion of
 the weighted noise channel reproduces the master-equation generator in its
@@ -28,65 +28,64 @@ from .operators import adjoint, frobenius, readonly
 
 @dataclass(frozen=True)
 class ItoPolynomial:
-    """Operator-valued element const*1 + dt_term*dt + sum_n dw_terms[n]*dW^n."""
+    """Operator-valued element terms[0]*1 + terms[1]*dt + sum_n terms[2 + n]*dW^n.
 
-    const_term: np.ndarray  # (d, d)
-    dt_term: np.ndarray     # (d, d)
-    dw_terms: np.ndarray    # (N, d, d)
+    terms is one complex (N + 2, d, d) stack: the coefficient of 1, then
+    that of dt, then those of dW^1 .. dW^N. The algebra is linear in the
+    stack, so a sum, difference or adjoint of elements is that of their
+    stacks; only ito_mul needs to know which slot is which.
+    """
+
+    terms: np.ndarray  # (N + 2, d, d)
 
     def __post_init__(self):
-        const = np.asarray(self.const_term, dtype=complex)
-        dt = np.asarray(self.dt_term, dtype=complex)
-        dw = np.asarray(self.dw_terms, dtype=complex)
-        if const.ndim != 2 or const.shape[0] != const.shape[1]:
-            raise ValueError(f"const_term must be square, got shape {const.shape}")
-        d = const.shape[0]
-        if dt.shape != (d, d):
-            raise ValueError(f"dt_term shape {dt.shape} does not match dim {d}")
-        if dw.ndim != 3 or dw.shape[1:] != (d, d):
-            raise ValueError(f"dw_terms must have shape (N, {d}, {d}), got {dw.shape}")
-        object.__setattr__(self, "const_term", readonly(const))
-        object.__setattr__(self, "dt_term", readonly(dt))
-        object.__setattr__(self, "dw_terms", readonly(dw))
+        terms = np.asarray(self.terms, dtype=complex)
+        if terms.ndim != 3 or terms.shape[0] < 3 or terms.shape[1] != terms.shape[2]:
+            raise ValueError(f"terms must be an (N + 2, d, d) stack with N >= 1, "
+                             f"got shape {terms.shape}")
+        object.__setattr__(self, "terms", readonly(terms))
+
+    @property
+    def const_term(self) -> np.ndarray:
+        return self.terms[0]
+
+    @property
+    def dt_term(self) -> np.ndarray:
+        return self.terms[1]
+
+    @property
+    def dw_terms(self) -> np.ndarray:
+        return self.terms[2:]
 
     @property
     def dim(self) -> int:
-        return self.const_term.shape[0]
+        return self.terms.shape[1]
 
     @property
     def noise_count(self) -> int:
-        return self.dw_terms.shape[0]
+        return self.terms.shape[0] - 2
 
     @classmethod
     def constant(cls, matrix: np.ndarray, noise_count: int) -> "ItoPolynomial":
         m = np.asarray(matrix, dtype=complex)
-        d = m.shape[0]
-        return cls(m, np.zeros((d, d), complex), np.zeros((noise_count, d, d), complex))
-
-    @classmethod
-    def zero(cls, dim: int, noise_count: int) -> "ItoPolynomial":
-        z = np.zeros((dim, dim), complex)
-        return cls(z, z.copy(), np.zeros((noise_count, dim, dim), complex))
+        terms = np.zeros((noise_count + 2, *m.shape), complex)
+        terms[0] = m
+        return cls(terms)
 
     def adjoint(self) -> "ItoPolynomial":
         """Dagger every coefficient; the increments themselves are real."""
-        return ItoPolynomial(adjoint(self.const_term), adjoint(self.dt_term),
-                             adjoint(self.dw_terms))
+        return ItoPolynomial(adjoint(self.terms))
 
     def __add__(self, other: "ItoPolynomial") -> "ItoPolynomial":
         self._check_compatible(other, "add")
-        return ItoPolynomial(self.const_term + other.const_term,
-                             self.dt_term + other.dt_term,
-                             self.dw_terms + other.dw_terms)
+        return ItoPolynomial(self.terms + other.terms)
 
     def __sub__(self, other: "ItoPolynomial") -> "ItoPolynomial":
         self._check_compatible(other, "subtract")
-        return ItoPolynomial(self.const_term - other.const_term,
-                             self.dt_term - other.dt_term,
-                             self.dw_terms - other.dw_terms)
+        return ItoPolynomial(self.terms - other.terms)
 
     def _check_compatible(self, other: "ItoPolynomial", what: str) -> None:
-        if self.dim != other.dim or self.noise_count != other.noise_count:
+        if self.terms.shape != other.terms.shape:
             raise ValueError(
                 f"cannot {what} polynomials of dim/noise "
                 f"({self.dim}, {self.noise_count}) and ({other.dim}, {other.noise_count})"
@@ -110,7 +109,7 @@ def ito_mul(model: LindbladModel, p: ItoPolynomial, q: ItoPolynomial) -> ItoPoly
     dw = p.const_term @ q.dw_terms + p.dw_terms @ q.const_term
     dt = (p.const_term @ q.dt_term + p.dt_term @ q.const_term
           + np.einsum("mab,mn,nbc->ac", p.dw_terms, model.covariance, q.dw_terms))
-    return ItoPolynomial(const, dt, dw)
+    return ItoPolynomial(np.concatenate((const[None], dt[None], dw)))
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,11 @@ def infinitesimal_operator_polynomials(model: LindbladModel) -> list[ItoPolynomi
     eye = np.eye(d, dtype=complex)
     polys = []
     for k in range(n):
-        dw = np.zeros((n, d, d), complex)
-        dw[k] = model.lindblad_ops[k]
-        polys.append(ItoPolynomial(model.weights[k] * eye,
-                                   model.weights[k] * u, dw))
+        terms = np.zeros((n + 2, d, d), complex)
+        terms[0] = model.weights[k] * eye
+        terms[1] = model.weights[k] * u
+        terms[2 + k] = model.lindblad_ops[k]
+        polys.append(ItoPolynomial(terms))
     return polys
 
 
@@ -169,7 +169,7 @@ def derive_stochastic_evolution(model: LindbladModel,
             f"match dim {model.dim}"
         )
     rho_poly = ItoPolynomial.constant(rho, model.noise_count)
-    total = ItoPolynomial.zero(model.dim, model.noise_count)
+    total = ItoPolynomial(np.zeros_like(rho_poly.terms))
     for a_n in infinitesimal_operator_polynomials(model):
         total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), a_n.adjoint())
     increment = total - rho_poly

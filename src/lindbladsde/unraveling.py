@@ -493,7 +493,7 @@ def _map_chunks(work, jobs: list, workers: int = 1):
     killed by a signal for example, raises WorkerDiedError naming its exit
     status or signal. No child outlives the generator: on any exit, Ctrl-C
     and an early close() included, the children still running are killed
-    and reaped.
+    and reaped. A fork that fails closes the pipe it was given and raises.
     """
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -510,7 +510,12 @@ def _map_chunks(work, jobs: list, workers: int = 1):
     try:
         for p in range(processes):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN at a process limit, for example
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 os.close(read)
                 _run_jobs(work, jobs, p, processes, write)  # never returns

@@ -1,3 +1,6 @@
+import itertools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,16 @@ from conftest import (
     random_unit_diag_covariance,
 )
 from lindbladsde.ito import ItoPolynomial, derive_stochastic_evolution, ito_mul
-from lindbladsde.lindblad import lindblad_rhs
+from lindbladsde.lindblad import drift_operator, lindblad_rhs
 from lindbladsde.operators import SIGMA_Z, frobenius
 
 
+def polynomial(const, dt, dw):
+    return ItoPolynomial(np.concatenate(([const], [dt], dw)))
+
+
 def random_polynomial(rng, dim, noises):
-    return ItoPolynomial(
+    return polynomial(
         random_complex(rng, dim),
         random_complex(rng, dim),
         np.array([random_complex(rng, dim) for _ in range(noises)]),
@@ -39,13 +46,30 @@ def loop_product_terms(cov, p, q):
     return const, dt, dw
 
 
+class TestShapeCheck:
+    @pytest.mark.parametrize("terms", [np.zeros((2, 2)), np.zeros((2, 2, 2)),
+                                       np.zeros((3, 2, 3))],
+                             ids=["2-d", "no-dw-slot", "non-square"])
+    def test_rejects_what_is_not_a_stack(self, terms):
+        with pytest.raises(ValueError, match=r"\(N \+ 2, d, d\) stack"):
+            ItoPolynomial(terms)
+
+    @pytest.mark.parametrize("dim, noises", [(3, 1), (2, 2)], ids=["dim", "noise-count"])
+    @pytest.mark.parametrize("op, what", [(operator.add, "add"), (operator.sub, "subtract")])
+    def test_sum_and_difference_need_the_same_shape(self, op, what, dim, noises):
+        p = ItoPolynomial(np.zeros((3, 2, 2)))
+        q = ItoPolynomial(np.zeros((noises + 2, dim, dim)))
+        with pytest.raises(ValueError, match=f"cannot {what} polynomials"):
+            op(p, q)
+
+
 class TestItoMul:
     def test_noise_squared_contracts_to_dt(self):
         # dW * dW with unit self-covariance leaves exactly an identity dt term
         model = model_with_covariance(np.eye(1))
         eye = np.eye(2, dtype=complex)
         zero = np.zeros((2, 2), complex)
-        p = ItoPolynomial(zero, zero, np.array([eye]))
+        p = polynomial(zero, zero, np.array([eye]))
         out = ito_mul(model, p, p)
         assert np.array_equal(out.dt_term, eye)
         assert np.array_equal(out.const_term, zero)
@@ -57,8 +81,8 @@ class TestItoMul:
         x = random_complex(rng, 2)
         y = random_complex(rng, 2)
         zero = np.zeros((2, 2), complex)
-        p = ItoPolynomial(x, zero, np.array([zero]))
-        q = ItoPolynomial(zero, y, np.array([zero]))
+        p = polynomial(x, zero, np.array([zero]))
+        q = polynomial(zero, y, np.array([zero]))
         out = ito_mul(model, p, q)
         assert np.array_equal(out.dt_term, x @ y)
         assert np.array_equal(out.const_term, zero)
@@ -67,9 +91,9 @@ class TestItoMul:
         model = model_with_covariance(np.eye(2))
         rng = philox(6)
         zero = np.zeros((2, 2), complex)
-        p = ItoPolynomial(zero, zero,
-                          np.array([random_complex(rng, 2), zero.copy()]))
-        q = ItoPolynomial(zero, random_complex(rng, 2), np.array([zero, zero]))
+        p = polynomial(zero, zero,
+                       np.array([random_complex(rng, 2), zero.copy()]))
+        q = polynomial(zero, random_complex(rng, 2), np.array([zero, zero]))
         out = ito_mul(model, p, q)
         assert np.array_equal(out.const_term, zero)
         assert np.array_equal(out.dt_term, zero)
@@ -118,14 +142,17 @@ class TestItoMul:
 
     def test_noise_count_mismatch(self):
         model = model_with_covariance(np.eye(2))
-        p = ItoPolynomial.zero(2, 1)
+        zero = np.zeros((2, 2), complex)
+        p = polynomial(zero, zero, [zero])
         with pytest.raises(ValueError, match="noise count"):
             ito_mul(model, p, p)
 
     def test_dim_mismatch(self):
         model = model_with_covariance(np.eye(1))
+        zero2, zero3 = np.zeros((2, 2), complex), np.zeros((3, 3), complex)
         with pytest.raises(ValueError, match="multiply"):
-            ito_mul(model, ItoPolynomial.zero(2, 1), ItoPolynomial.zero(3, 1))
+            ito_mul(model, polynomial(zero2, zero2, [zero2]),
+                    polynomial(zero3, zero3, [zero3]))
 
 
 class TestItoContext:
@@ -154,6 +181,13 @@ class TestExpectation:
         oracle_const, oracle_dt, _ = loop_product_terms(cov, p, q)
         assert frobenius(product.const_term - oracle_const) < 1e-12
         assert frobenius(product.dt_term - oracle_dt) < 1e-12
+
+
+# (dim, noises, rank): every d in 2-4 and N in 1-3, with a full-rank and,
+# for N > 1, a rank-1 covariance. Their seeds were fixed before the first run.
+SPLIT_CASES = [(dim, noises, rank)
+               for dim, noises, rank in itertools.product((2, 3, 4), (1, 2, 3), (None, 1))
+               if rank is None or noises > 1]
 
 
 class TestDeriveStochasticEvolution:
@@ -222,6 +256,31 @@ class TestDeriveStochasticEvolution:
         assert result.noise_residual == frobenius(result.noise_coefficients - expected)
         assert result.drift_residual < 1e-12
         assert result.noise_residual < 1e-12
+
+    @pytest.mark.parametrize("seed, dim, noises, rank",
+                             [(16_001 + i, *case) for i, case in enumerate(SPLIT_CASES)])
+    def test_any_split_of_the_drift_gives_the_generator(self, seed, dim, noises, rank):
+        # The model fixes only U = sum_n d_n u_n, and derive uses u_n = d_n U.
+        # Any u_n = d_n U + z_n with sum_n d_n z_n = 0 is as valid, and
+        # leaves the dt coefficient of sum_n A_n rho A_n^dagger - rho equal
+        # to the generator.
+        rng = philox(seed)
+        model = random_model(rng, dim, noises, rank=rank)
+        rho = random_density(rng, dim)
+        w = model.weights
+        z = np.array([random_complex(rng, dim) for _ in range(noises)])
+        z = z - w[:, None, None] * np.einsum("n,nab->ab", w, z) / (w @ w)
+        rho_poly = ItoPolynomial.constant(rho, noises)
+        total = ItoPolynomial(np.zeros((noises + 2, dim, dim)))
+        for n in range(noises):
+            terms = np.zeros((noises + 2, dim, dim), complex)
+            terms[0] = w[n] * np.eye(dim)
+            terms[1] = w[n] * drift_operator(model) + z[n]
+            terms[2 + n] = model.lindblad_ops[n]
+            a_n = ItoPolynomial(terms)
+            total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), a_n.adjoint())
+        drift = (total - rho_poly).dt_term
+        assert frobenius(drift - lindblad_rhs(model, rho)) < 1e-12
 
     def test_rank_deficient_covariance_still_derives(self):
         rng = philox(13)

@@ -1016,6 +1016,29 @@ print(no_child_left())
 """)
         assert result.stdout.splitlines() == ["[0, 1]", "True", "True"]
 
+    def test_failed_fork_leaves_no_pipe_open(self):
+        # the second fork is refused, as at a process limit: the error
+        # reaches the caller, the first worker is reaped and both ends of
+        # the refused worker's pipe are closed
+        result = run_python(TWO_CPU_RUN + """
+original = os.fork
+forks = []
+def refused():
+    forks.append(1)
+    if len(forks) == 2:
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    return original()
+os.fork = refused
+before = sorted(os.listdir("/proc/self/fd"))
+try:
+    run()
+except BlockingIOError as exc:
+    print(exc.errno)
+print(sorted(os.listdir("/proc/self/fd")) == before)
+print(no_child_left())
+""")
+        assert result.stdout.splitlines() == ["11", "True", "True"]
+
 
 # Python source that makes two CPUs usable and defines run(), a three-chunk
 # ensemble that forks two workers, and no_child_left().
