@@ -156,8 +156,7 @@ def main() -> int:
                              "--base", base_commit, "--out", args.out]),
         "base": {"commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain",
-                                                   "--untracked-files=no"))},
+                   "uncommitted_changes": bool(git("status", "--porcelain"))},
         "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
         "workloads": {},
     }

@@ -11,7 +11,10 @@ Model files are JSON with complex entries written as [re, im] pairs::
     }
 
 weights may be omitted when there is exactly one operator (defaults to
-[1.0]); covariance defaults to the identity. Anywhere a model path is
+[1.0]); covariance defaults to the identity. The reader checks only the
+file's form (JSON, known and required fields, dim, literals of numbers and
+[re, im] pairs) and turns the literals into arrays; LindbladModel makes
+every check on their shapes and values. Anywhere a model path is
 expected, the name of a built-in preset is accepted too, unless a file of
 that name exists.
 
@@ -44,7 +47,7 @@ import numpy as np
 from .channels import build_infinitesimal_kraus, choi_of
 from .ito import derive_stochastic_evolution
 from .lindblad import LindbladModel, NumericalError, integrate_ode, time_grid
-from .operators import matrix_from_literal, min_eigenvalues, purities, real_matrix_from_literal
+from .operators import min_eigenvalues, purities
 from .presets import PRESET_NAMES, preset_model, uniform_superposition
 from .unraveling import STEPPERS, WorkerDiedError, run_ensemble, trajectory_rng
 
@@ -84,7 +87,27 @@ def parse_model(path_or_preset: str) -> LindbladModel:
     return model
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """A numeric JSON array as a float array; any other value raises, naming its field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: malformed literal ({exc})") from exc
+
+
+def _complex_literal(value, name: str) -> np.ndarray:
+    """A JSON array whose innermost entries are [re, im] pairs, as a complex array.
+
+    Checks the literal's form only; LindbladModel judges its shape and values.
+    """
+    arr = _floats(value, name)
+    if arr.ndim < 3 or arr.shape[-1] != 2:
+        raise ValueError(f"{name}: expected rows of [re, im] pairs, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 def _model_from_file(path: Path) -> LindbladModel:
+    """Turn a model file's literals into arrays; LindbladModel makes every check on them."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -95,54 +118,36 @@ def _model_from_file(path: Path) -> LindbladModel:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level")
-
-    def take(key, required=True):
-        if key not in payload:
-            if required:
-                raise ValueError(f"missing required field {key!r}")
-            return None
-        return payload[key]
-
-    known = {"dim", "hamiltonian", "lindblad_ops", "weights", "covariance"}
-    unknown = set(payload) - known
+    unknown = set(payload) - {"dim", "hamiltonian", "lindblad_ops", "weights", "covariance"}
     if unknown:
         raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
 
     # the except clause below prefixes each message with the path
     try:
-        dim = take("dim")
+        for key in ("dim", "hamiltonian", "lindblad_ops"):
+            if key not in payload:
+                raise ValueError(f"missing required field {key!r}")
+        dim = payload["dim"]
         # bool is an int subclass, but "dim": true is not a dimension
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError("dim must be a positive integer")
-        hamiltonian = matrix_from_literal(take("hamiltonian"), name="hamiltonian")
-        raw_ops = take("lindblad_ops")
-        if not isinstance(raw_ops, list) or not raw_ops:
+        hamiltonian = _complex_literal(payload["hamiltonian"], "hamiltonian")
+        if not isinstance(payload["lindblad_ops"], list) or not payload["lindblad_ops"]:
             raise ValueError("lindblad_ops: expected a nonempty array of matrices")
-        ops = np.array([
-            matrix_from_literal(entry, name=f"lindblad_ops[{i}]")
-            for i, entry in enumerate(raw_ops)
-        ])
-        weights = take("weights", required=False)
-        if weights is None:
-            if len(raw_ops) != 1:
-                raise ValueError(
-                    "weights: required when there is more than one operator"
-                )
-            weights = [1.0]
-        covariance = take("covariance", required=False)
-        covariance = (np.eye(len(raw_ops)) if covariance is None
-                      else real_matrix_from_literal(covariance, name="covariance"))
-        if hamiltonian.shape[0] != dim:
-            raise ValueError(
-                f"hamiltonian is {hamiltonian.shape[0]}x{hamiltonian.shape[0]} "
-                f"but dim is {dim}"
-            )
+        ops = _complex_literal(payload["lindblad_ops"], "lindblad_ops")
+        weights = payload.get("weights")
+        if weights is None and len(ops) != 1:
+            raise ValueError("weights: required when there is more than one operator")
+        covariance = payload.get("covariance")
         model = LindbladModel(
             hamiltonian=hamiltonian,
             lindblad_ops=ops,
-            weights=np.asarray(weights, dtype=float),
-            covariance=covariance,
+            weights=[1.0] if weights is None else _floats(weights, "weights"),
+            covariance=np.eye(len(ops)) if covariance is None
+            else _floats(covariance, "covariance"),
         )
+        if model.dim != dim:
+            raise ValueError(f"hamiltonian is {model.dim}x{model.dim} but dim is {dim}")
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model
@@ -291,7 +296,8 @@ def cmd_derive(args) -> int:
     print(f"drift residual vs master-equation generator: {result.drift_residual:.3e}")
     print(f"noise residual vs d_n (v_n rho + rho v_n^dagger): {result.noise_residual:.3e}")
     print(f"drift trace residual: {result.trace_residual:.3e}")
-    if result.drift_residual > DERIVE_TOL or result.noise_residual > DERIVE_TOL:
+    # written so that a NaN residual fails the gate
+    if not (result.drift_residual <= DERIVE_TOL and result.noise_residual <= DERIVE_TOL):
         print("derivation mismatch beyond tolerance", file=sys.stderr)
         return EXIT_DERIVATION
     return EXIT_OK
@@ -377,8 +383,8 @@ def _build_parser() -> _Parser:
     add_model(p_sde)
     p_sde.add_argument("--t-final", type=_finite_positive, required=True)
     p_sde.add_argument("--dt", type=_finite_positive, required=True)
-    p_sde.add_argument("--trajectories", type=_at_least(1), default=1000)
     # trajectory i draws from Philox keyed by (seed, i), one 64-bit word each
+    p_sde.add_argument("--trajectories", type=_at_least(1, below=2**64 + 1), default=1000)
     p_sde.add_argument("--seed", type=_at_least(0, below=2**64), default=0)
     p_sde.add_argument("--record-every", type=_at_least(1), default=1)
     steppers = [name.replace("_", "-") for name in STEPPERS]

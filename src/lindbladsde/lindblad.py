@@ -115,15 +115,17 @@ class LindbladModel:
 
     Construction is the package's only validation of a model. It enforces
     the hard invariants: H Hermitian, weights positive with unit square-sum,
-    covariance symmetric with unit diagonal and positive semidefinite. The
-    PSD check is the covariance's one eigendecomposition, kept as
-    noise_basis for the runners. Construction also derives, once, what every
-    path reads: the residual report, kept as report (the soft per-trajectory
-    trace constraint is reported there, never enforced), the drift operator
-    U, kept as drift, and the stacks of v_n^dagger and v_n^dagger v_n, kept
-    as adjoint_ops and vdv_ops; lindblad_rhs reads both, and the Euler step
-    kernel reads adjoint_ops. All arrays are copied and frozen, so a model
-    is safe to share across threads and worker processes.
+    covariance symmetric with unit diagonal and positive semidefinite, and
+    v_n^dagger v_n and the drift finite, so entries too large to square are
+    refused. The PSD check is the covariance's one eigendecomposition, kept
+    as noise_basis for the runners. Construction also derives, once, what
+    every path reads: the residual report, kept as report (the soft
+    per-trajectory trace constraint is reported there, never enforced), the
+    drift operator U, kept as drift, and the stacks of v_n^dagger and
+    v_n^dagger v_n, kept as adjoint_ops and vdv_ops; lindblad_rhs reads
+    both, and the Euler step kernel reads adjoint_ops. All arrays are
+    copied and frozen, so a model is safe to share across threads and
+    worker processes.
     """
 
     hamiltonian: np.ndarray
@@ -174,11 +176,21 @@ class LindbladModel:
         h, ops, w, c = map(readonly, (h, ops, w, c))
         # Raises on an indefinite covariance, so no invalid model escapes.
         basis = _eigenbasis(c)
+        # vdv_ops by stacked matmul, not einsum: each v_n^dagger v_n then has
+        # the bits of the single product v_n^dagger @ v_n. Huge entries
+        # overflow these products, so they are formed quietly, then judged.
+        vdag = adjoint(ops)
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = -1j * h - 0.5 * np.einsum("nba,nbc->ac", ops.conj(), ops)
+            vdv_ops = vdag @ ops
+        if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(vdv_ops))):
+            raise ValueError("lindblad_ops: entries too large: v_n^dagger v_n or the drift "
+                             "-iH - (1/2) sum_n v_n^dagger v_n is not finite")
 
         # sum_n d_n (v_n + v_n^dagger) O[n, r] must vanish for every
         # eigenvector with a positive eigenvalue; null directions never
         # receive noise.
-        herm_parts = ops + adjoint(ops)
+        herm_parts = ops + vdag
         residuals = np.array([
             frobenius(np.einsum("n,n,nab->ab", w, basis.orthogonal[:, r], herm_parts))
             for r in np.flatnonzero(basis.eigenvalues > 0.0)
@@ -190,15 +202,10 @@ class LindbladModel:
             drift_residuals=readonly(residuals),
             trajectory_trace_preserving=bool(np.all(residuals <= DRIFT_CONSTRAINT_TOL)),
         )
-        vdv = np.einsum("nba,nbc->ac", ops.conj(), ops)
-        # Stacked matmul, not einsum: each v_n^dagger v_n then has the bits
-        # of the single product v_n^dagger @ v_n.
-        vdag = adjoint(ops)
         # The dataclass is frozen, so its fields are set through __dict__.
         self.__dict__.update(hamiltonian=h, lindblad_ops=ops, weights=w, covariance=c,
-                             noise_basis=basis, report=report,
-                             drift=readonly(-1j * h - 0.5 * vdv),
-                             adjoint_ops=readonly(vdag), vdv_ops=readonly(vdag @ ops))
+                             noise_basis=basis, report=report, drift=readonly(drift),
+                             adjoint_ops=readonly(vdag), vdv_ops=readonly(vdv_ops))
 
     @property
     def dim(self) -> int:

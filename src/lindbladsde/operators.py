@@ -3,7 +3,9 @@
 Matrices are plain numpy arrays with complex entries and value semantics:
 no function here mutates its inputs. Dimensions stay desk-scale (d <= 32,
 noise counts <= 16), so dense storage and LAPACK eigendecompositions are
-the right tools; there is no sparse or GPU path.
+the right tools; there is no sparse or GPU path. LindbladModel validates
+a model with the structure checks here; the model-file format is known
+to the CLI alone.
 """
 
 from __future__ import annotations
@@ -50,8 +52,24 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _overflow_scale(m: np.ndarray) -> float:
+    """A power of two s <= 1 that brings every |re| and |im| of s * m below 1.
+
+    Multiplying by s is exact, barring subnormal results, so norms of s * m
+    cannot overflow, and a comparison between two of them decides as the
+    unscaled one does wherever that one is finite.
+    """
+    peak = max(np.max(np.abs(m.real)), np.max(np.abs(m.imag)))
+    return float(np.ldexp(1.0, -max(int(np.frexp(peak)[1]), 0)))
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Relative Frobenius distance from m to its Hermitian part."""
+    """Relative Frobenius distance from m to its Hermitian part.
+
+    Computed on m times _overflow_scale(m), so entries near the largest
+    float give a finite defect instead of inf / inf = NaN.
+    """
+    m = m * _overflow_scale(m)
     scale = frobenius(m)
     if scale == 0.0:
         return 0.0
@@ -106,40 +124,17 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def check_real_symmetric(c: np.ndarray) -> np.ndarray:
-    """Validate a covariance: a finite real square matrix, symmetric within SYM_TOL."""
+    """Validate a covariance: a finite real square matrix, symmetric within SYM_TOL.
+
+    The defect |c - c^T| > SYM_TOL * max(|c|, 1) is judged on c times
+    _overflow_scale(c), so huge entries cannot hide an asymmetry.
+    """
     c = require_square(np.asarray(c, dtype=float), "covariance")
-    scale = max(frobenius(c), 1.0)
-    if frobenius(c - c.T) > SYM_TOL * scale:
+    s = _overflow_scale(c)
+    scaled = s * c
+    if frobenius(scaled - scaled.T) > SYM_TOL * max(frobenius(scaled), s):
         raise ValueError(f"covariance: not symmetric within {SYM_TOL:.1e}")
     return c
-
-
-def matrix_from_literal(rows, name: str = "matrix") -> np.ndarray:
-    """Parse a complex matrix literal: row-major rows of [re, im] pairs."""
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: malformed matrix literal ({exc})") from exc
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise ValueError(f"{name}: expected rows of [re, im] pairs, got shape {arr.shape}")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got {arr.shape[0]}x{arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def real_matrix_from_literal(rows, name: str = "matrix") -> np.ndarray:
-    """Parse a real matrix literal: row-major rows of plain numbers."""
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: malformed matrix literal ({exc})") from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name}: expected a square real matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    return arr
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -28,7 +29,7 @@ from lindbladsde.cli import (
 from lindbladsde.lindblad import NumericalError
 from lindbladsde.operators import min_eigenvalues, purities
 from lindbladsde.presets import PRESET_NAMES, preset_model
-from test_golden_csv import QUDIT8_MODEL
+from test_golden_csv import QUDIT8_MODEL, QUTRIT_MODEL
 from test_unraveling import TWO_CPU_RUN, run_python
 
 
@@ -42,6 +43,23 @@ def write_model(tmp_path, name="model.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+SIGMA_MINUS_LITERAL = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+SIGMA_PLUS_LITERAL = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
+TWO_OPS = {"lindblad_ops": [SIGMA_MINUS_LITERAL, SIGMA_PLUS_LITERAL], "weights": [0.6, 0.8]}
+ZERO_2X3 = [[[0, 0]] * 3] * 2
+
+
+def operator_literal(entry):
+    """A 2x2 operator literal with entry as the real part of its (0, 1) element."""
+    return [[[0, 0], [entry, 0]], [[0, 0], [0, 0]]]
+
+
+def plain_complex(rows):
+    """A literal of [re, im] pairs read with plain numpy."""
+    a = np.array(rows, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
 
 
 class TestParseModel:
@@ -90,6 +108,28 @@ class TestParseModel:
         path = write_model(tmp_path, initial_state=[[1, 0], [0, 0]])
         with pytest.raises(ValueError, match="unknown fields"):
             parse_model(path)
+
+    def test_hand_literals(self, tmp_path, capsys):
+        path = write_model(tmp_path, hamiltonian=[[[0, 0], [0, 1]], [[0, -1], [0, 0]]],
+                           covariance=[[1.0, 0.5], [0.5, 1.0]], **TWO_OPS)
+        model = parse_model(path)
+        assert np.array_equal(model.hamiltonian, np.array([[0.0, 1.0j], [-1.0j, 0.0]]))
+        assert np.array_equal(model.lindblad_ops[1], np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert np.array_equal(model.covariance, np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+    @pytest.mark.parametrize("literal", [QUTRIT_MODEL, QUDIT8_MODEL], ids=["qutrit", "qudit8"])
+    def test_golden_model_files_parse_to_plain_numpy(self, tmp_path, capsys, literal):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(literal))
+        model = parse_model(str(path))
+        for got, want in [
+            (model.hamiltonian, plain_complex(literal["hamiltonian"])),
+            (model.lindblad_ops, plain_complex(literal["lindblad_ops"])),
+            (model.weights, np.array(literal["weights"])),
+            (model.covariance, np.array(literal["covariance"])),
+        ]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_dim_mismatch_rejected(self, tmp_path):
         path = write_model(tmp_path, dim=3)
@@ -141,6 +181,57 @@ class TestCheckCommand:
         assert main(["check", "--model", "m.json"]) == EXIT_MODEL
         err = capsys.readouterr().err
         assert err == "invalid model: m.json: dim must be a positive integer\n"
+
+    # The reader only turns literals into arrays; LindbladModel judges
+    # shapes and values. Each defect is one line naming its field.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"hamiltonian": ZERO_2X3}, "hamiltonian: expected a square matrix, got shape (2, 3)"),
+        ({"hamiltonian": [[[1, 0], [0, 0]]]},
+         "hamiltonian: expected a square matrix, got shape (1, 2)"),
+        ({"hamiltonian": [[[float("nan"), 0], [0, 0]], [[0, 0], [0, 0]]]},
+         "hamiltonian: entries must be finite"),
+        ({"hamiltonian": [[0, 0], [0, 0]]},
+         "hamiltonian: expected rows of [re, im] pairs, got shape (2, 2)"),
+        ({"hamiltonian": [[1.0, 0.0], [0.0, 1.0]]},
+         "hamiltonian: expected rows of [re, im] pairs, got shape (2, 2)"),
+        ({"hamiltonian": 0}, "hamiltonian: expected rows of [re, im] pairs, got shape ()"),
+        ({"hamiltonian": [[[0, 0]], [[0, 0], [1, 0]]]}, "hamiltonian: malformed literal ("),
+        ({"hamiltonian": [[[0, 0], [10 ** 400, 0]], [[0, 0], [0, 0]]]},
+         "hamiltonian: malformed literal (int too large to convert to float)"),
+        ({"hamiltonian": operator_literal(1e200)}, "hamiltonian: not Hermitian"),
+        ({"lindblad_ops": [SIGMA_MINUS_LITERAL, [[[0, 0]] * 3] * 3], "weights": [0.6, 0.8]},
+         "lindblad_ops: malformed literal ("),
+        ({"lindblad_ops": [ZERO_2X3]},
+         "lindblad_ops: operator shape (2, 3) does not match dim 2"),
+        ({"lindblad_ops": [operator_literal(float("inf"))]},
+         "lindblad_ops: entries must be finite"),
+        ({"lindblad_ops": [operator_literal(1e160)]}, "lindblad_ops: entries too large"),
+        ({"lindblad_ops": [operator_literal(5e154)]}, "lindblad_ops: entries too large"),
+        ({"covariance": [[1.0, 0.0]]}, "covariance: expected a square matrix, got shape (1, 2)"),
+        ({"covariance": [1.0]}, "covariance: expected a square matrix, got shape (1,)"),
+        ({"covariance": [["a"]]},
+         "covariance: malformed literal (could not convert string to float: 'a')"),
+        ({"covariance": [[1, 1e200], [0, 1]], **TWO_OPS}, "covariance: not symmetric"),
+        ({"weights": ["x"]}, "weights: malformed literal (could not convert string to float: 'x')"),
+    ], ids=["hamiltonian-2x3", "hamiltonian-non-square", "hamiltonian-nan", "hamiltonian-2d",
+            "hamiltonian-scalar-entries", "hamiltonian-scalar", "hamiltonian-ragged",
+            "hamiltonian-int-overflow", "hamiltonian-huge-non-hermitian", "ops-two-sizes",
+            "ops-2x3", "ops-infinity", "ops-vdv-overflow-1e160", "ops-vdv-overflow-5e154",
+            "covariance-1x2", "covariance-1d", "covariance-text", "covariance-huge-asymmetric",
+            "weights-text"])
+    def test_file_defect_names_its_field(self, tmp_path, monkeypatch, capsys, overrides,
+                                         message):
+        monkeypatch.chdir(tmp_path)
+        write_model(tmp_path, name="m.json", **overrides)
+        assert main(["check", "--model", "m.json"]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid model: m.json: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_huge_hermitian_hamiltonian_is_accepted(self, tmp_path, capsys):
+        path = write_model(tmp_path, hamiltonian=[[[0, 0], [1e200, 0]], [[1e200, 0], [0, 0]]])
+        assert main(["check", "--model", path]) == EXIT_OK
+        assert "model ok" in capsys.readouterr().out
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "--model", "missing.json"]) == EXIT_MODEL
@@ -207,6 +298,16 @@ class TestUsageErrors:
                      "--seed", str(2**64), "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"usage error: argument --seed: must be below {2**64}, got {2**64}\n"
+        assert not out.exists()
+
+    def test_trajectories_beyond_the_philox_key_is_usage_error(self, tmp_path, capsys):
+        # the last trajectory's key is n - 1, so n = 2**64 is the largest count
+        out = tmp_path / "never.csv"
+        n = 2**64 + 1
+        assert main(["sde", "--model", "dephasing", "--t-final", "0.02", "--dt", "1e-3",
+                     "--trajectories", str(n), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: argument --trajectories: must be below {n}, got {n}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -411,6 +512,20 @@ class TestDeriveCommand:
             return np.eye(model.dim, dtype=complex)
 
         monkeypatch.setattr(ito, "lindblad_rhs", wrong_rhs)
+        assert main(["derive", "--model", "dephasing"]) == EXIT_DERIVATION
+        assert "mismatch" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("residual", ["drift_residual", "noise_residual"])
+    def test_nan_residual_exits_4(self, monkeypatch, capsys, residual):
+        import lindbladsde.cli as cli
+
+        original = cli.derive_stochastic_evolution
+
+        def nan_residual(model, rho):
+            return dataclasses.replace(original(model, rho), **{residual: float("nan")})
+
+        monkeypatch.setattr(cli, "derive_stochastic_evolution", nan_residual)
         assert main(["derive", "--model", "dephasing"]) == EXIT_DERIVATION
         assert "mismatch" in capsys.readouterr().err
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,11 @@ from lindbladsde.operators import (
     adjoint,
     check_density_matrix,
     check_hermitian,
-    matrix_from_literal,
+    check_real_symmetric,
+    frobenius,
+    hermiticity_defect,
     min_eigenvalues,
     purities,
-    real_matrix_from_literal,
 )
 
 
@@ -110,6 +113,26 @@ class TestStructureChecks:
         with pytest.raises(ValueError, match="finite"):
             check_hermitian(bad)
 
+    # entries near 1e200 overflow the Frobenius norms of the plain defects
+    @pytest.mark.parametrize("check, bad, message", [
+        (check_hermitian, [[0, 1e200], [0, 0]], "not Hermitian"),
+        (check_real_symmetric, [[1, 1e200], [0, 1]], "not symmetric"),
+    ], ids=["hermitian", "symmetric"])
+    def test_huge_entries_cannot_hide_a_defect(self, check, bad, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                check(np.array(bad))
+            good = np.array([[0, 1e200], [1e200, 0]])
+            assert check(good) is not None
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 3.0, 1e100])
+    def test_rescaled_defect_keeps_the_plain_bits(self, magnitude):
+        # the rescaling is by a power of two, so where the plain formula
+        # does not overflow it gives the same float
+        m = magnitude * random_complex(philox(5), 4)
+        assert hermiticity_defect(m) == frobenius(m - adjoint(m)) / frobenius(m)
+
     def test_pauli_algebra(self):
         # direct multiplication oracle for [sigma_x, sigma_y]
         expected = loop_matmul(SIGMA_X, SIGMA_Y) - loop_matmul(SIGMA_Y, SIGMA_X)
@@ -134,27 +157,3 @@ class TestStateStatistics:
         assert min_eigenvalues(states).shape == (6,)
         assert np.allclose(min_eigenvalues(states), spectrum[:, 0], atol=1e-13)
         assert np.allclose(purities(states), (spectrum ** 2).sum(axis=1), atol=1e-13)
-
-
-class TestLiterals:
-    def test_hand_literal(self):
-        m = matrix_from_literal([[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
-        assert np.array_equal(m, np.array([[0.0, 1.0j], [-1.0j, 0.0]]))
-
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError, match="literal"):
-            matrix_from_literal([[[0, 0]], [[0, 0], [1, 0]]])
-
-    def test_rejects_scalar_entries(self):
-        with pytest.raises(ValueError, match="re, im"):
-            matrix_from_literal([[1.0, 0.0], [0.0, 1.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            matrix_from_literal([[[1, 0], [0, 0]]])
-
-    def test_real_literal(self):
-        c = real_matrix_from_literal([[1.0, 0.5], [0.5, 1.0]])
-        assert np.array_equal(c, np.array([[1.0, 0.5], [0.5, 1.0]]))
-        with pytest.raises(ValueError, match="square"):
-            real_matrix_from_literal([[1.0, 0.5]])
