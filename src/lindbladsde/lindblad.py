@@ -21,7 +21,6 @@ from .operators import (
     adjoint,
     check_density_matrix,
     check_hermitian,
-    check_real_symmetric,
     frobenius,
     hermitian_part,
     readonly,
@@ -117,15 +116,19 @@ class LindbladModel:
     the hard invariants: H Hermitian, weights positive with unit square-sum,
     covariance symmetric with unit diagonal and positive semidefinite, and
     v_n^dagger v_n and the drift finite, so entries too large to square are
-    refused. The PSD check is the covariance's one eigendecomposition, kept
+    refused. H and the covariance, a real matrix for which Hermitian means
+    symmetric, go through the one structure check, check_hermitian; the
+    covariance's shape and unit diagonal (SYM_TOL) are checked here. A
+    weight too large to square reads as weight residual inf, without a numpy
+    warning. The PSD check is the covariance's one eigendecomposition, kept
     as noise_basis for the runners. Construction also derives, once, what
     every path reads: the residual report, kept as report (the soft
     per-trajectory trace constraint is reported there, never enforced), the
     drift operator U, kept as drift, and the stacks of v_n^dagger and
     v_n^dagger v_n, kept as adjoint_ops and vdv_ops; lindblad_rhs reads
-    both, and the Euler step kernel reads adjoint_ops. All arrays are
-    copied and frozen, so a model is safe to share across threads and
-    worker processes.
+    both, and the Euler step kernel reads adjoint_ops. All arrays are copied
+    and frozen, so a model is safe to share across threads and worker
+    processes.
     """
 
     hamiltonian: np.ndarray
@@ -156,14 +159,15 @@ class LindbladModel:
             raise ValueError(f"weights: expected shape ({n},), got {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights: all channel weights must be positive finite reals")
-        weight_residual = abs(float(np.sum(w * w)) - 1.0)
+        with np.errstate(over="ignore"):  # a huge weight reads as residual inf
+            weight_residual = abs(float(np.sum(w * w)) - 1.0)
         if weight_residual > WEIGHT_TOL:
             raise ValueError(
                 f"weights: sum of squares differs from 1 by {weight_residual:.3e} "
                 f"(tolerance {WEIGHT_TOL:.1e})"
             )
 
-        c = check_real_symmetric(np.asarray(self.covariance, dtype=float))
+        c = check_hermitian(np.asarray(self.covariance, dtype=float), name="covariance")
         if c.shape != (n, n):
             raise ValueError(f"covariance: expected shape ({n}, {n}), got {c.shape}")
         diagonal_residual = float(np.max(np.abs(np.diag(c) - 1.0)))
@@ -327,30 +331,33 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
 
     states = np.empty((len(times), *rho.shape), dtype=complex)
     states[0] = rho
-    for k in range(n_steps):
-        k1 = _rhs(model, rho)
-        k2 = _rhs(model, rho + (0.5 * dt) * k1)
-        k3 = _rhs(model, rho + (0.5 * dt) * k2)
-        k4 = _rhs(model, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = hermitian_part(rho)
-        if not np.all(np.isfinite(rho)):
-            raise NumericalError(
-                f"integrate_ode: non-finite state at t={(k + 1) * dt:g}; "
-                f"dt={dt!r} is too large for this model"
-            )
-        if (k + 1) % record_every == 0:
-            states[(k + 1) // record_every] = rho
+    # A step that overflows is caught by the finiteness check, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = _rhs(model, rho)
+            k2 = _rhs(model, rho + (0.5 * dt) * k1)
+            k3 = _rhs(model, rho + (0.5 * dt) * k2)
+            k4 = _rhs(model, rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = hermitian_part(rho)
+            if not np.all(np.isfinite(rho)):
+                raise NumericalError(
+                    f"integrate_ode: non-finite state at t={(k + 1) * dt:g}; "
+                    f"dt={dt!r} is too large for this model"
+                )
+            if (k + 1) % record_every == 0:
+                states[(k + 1) // record_every] = rho
     return OdeTrajectory(times=times, states=states)
 
 
 def check_step_size(model: LindbladModel, dt: float) -> None:
     """Guard the Euler bias regime: dt * (|H| + sum |v_n|^2) must stay small.
 
-    Warns above 0.1 and refuses above 1.0 (Frobenius norms).
+    Warns above 0.1 and refuses above 1.0 (Frobenius norms). Squares by
+    x * x, which gives inf where a float's x ** 2 raises OverflowError.
     """
-    scale = frobenius(model.hamiltonian) + float(
-        sum(frobenius(v) ** 2 for v in model.lindblad_ops)
+    scale = frobenius(model.hamiltonian) + sum(
+        x * x for x in map(frobenius, model.lindblad_ops)
     )
     stiffness = dt * scale
     if stiffness > 1.0:

@@ -3,9 +3,13 @@
 Matrices are plain numpy arrays with complex entries and value semantics:
 no function here mutates its inputs. Dimensions stay desk-scale (d <= 32,
 noise counts <= 16), so dense storage and LAPACK eigendecompositions are
-the right tools; there is no sparse or GPU path. LindbladModel validates
-a model with the structure checks here; the model-file format is known
-to the CLI alone.
+the right tools; there is no sparse or GPU path. check_hermitian is the
+one structure check of a matrix input: the Hamiltonian, density matrices,
+the exact-unitary K and the real covariance, for which Hermitian means
+symmetric. Every norm is taken on the matrix times a power of two, so it
+is finite and nonzero wherever the true norm is. LindbladModel validates
+a model with the checks here; the model-file format is known to the CLI
+alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 # Structure-check tolerances. Double precision keeps rounding far below
 # these for the matrix sizes this package targets.
 HERMITICITY_TOL = 1e-10  # relative Frobenius defect allowed in Hermitian inputs
-SYM_TOL = 1e-10          # relative symmetry / unit-diagonal defect for covariances
+SYM_TOL = 1e-10          # |c_ii - 1| allowed on a covariance's unit diagonal
 TRACE_TOL = 1e-8         # |tr(rho) - 1| allowed in a density matrix
 PSD_TOL = 1e-8           # eigenvalue floor allowed in a density matrix
 CLIP_TOL = 1e-10         # covariance eigenvalues within this of zero count as zero
@@ -28,9 +32,27 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
+def _scale(m: np.ndarray) -> float:
+    """The power of two s that brings the largest |re| or |im| of m into [1/2, 1).
+
+    1 for a zero matrix, and at most 2**1023, so a subnormal peak does not
+    overflow s. Multiplying by s is exact, barring subnormal results, so a
+    norm of s * m neither overflows nor underflows to zero, and a quotient
+    of two such norms keeps the bits of the unscaled one wherever that is
+    finite and nonzero.
+    """
+    peak = max(np.max(np.abs(m.real)), np.max(np.abs(m.imag)))
+    return float(np.ldexp(1.0, min(-int(np.frexp(peak)[1]), 1023)))
+
+
 def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm as a plain float, |s * m| / s with s = _scale(m).
+
+    Finite wherever the true norm is, and bit-equal to np.linalg.norm(m)
+    wherever that neither overflows nor underflows.
+    """
+    s = _scale(m)
+    return float(np.linalg.norm(s * m)) / s
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -43,41 +65,32 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + adjoint(m))
 
 
-def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Relative Frobenius distance from m to its Hermitian part.
+
+    Computed on m times _scale(m), so entries near the largest float give a
+    finite defect instead of inf / inf = NaN, and tiny ones give the true
+    defect instead of 0 / 0.
+    """
+    m = m * _scale(m)
+    norm = frobenius(m)
+    if norm == 0.0:
+        return 0.0
+    return frobenius(m - adjoint(m)) / norm
+
+
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate a finite square matrix, Hermitian within HERMITICITY_TOL.
+
+    The package's one structure check of a matrix input, run on the
+    Hamiltonian, density matrices, the exact-unitary K and the covariance.
+    Returns np.asarray(m); raises ValueError naming name.
+    """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name}: entries must be finite")
-    return m
-
-
-def _overflow_scale(m: np.ndarray) -> float:
-    """A power of two s <= 1 that brings every |re| and |im| of s * m below 1.
-
-    Multiplying by s is exact, barring subnormal results, so norms of s * m
-    cannot overflow, and a comparison between two of them decides as the
-    unscaled one does wherever that one is finite.
-    """
-    peak = max(np.max(np.abs(m.real)), np.max(np.abs(m.imag)))
-    return float(np.ldexp(1.0, -max(int(np.frexp(peak)[1]), 0)))
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Relative Frobenius distance from m to its Hermitian part.
-
-    Computed on m times _overflow_scale(m), so entries near the largest
-    float give a finite defect instead of inf / inf = NaN.
-    """
-    m = m * _overflow_scale(m)
-    scale = frobenius(m)
-    if scale == 0.0:
-        return 0.0
-    return frobenius(m - adjoint(m)) / scale
-
-
-def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = require_square(m, name)
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(
@@ -121,20 +134,6 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     if smallest < -PSD_TOL:
         raise ValueError(f"density matrix: min eigenvalue {smallest:.3e} < -{PSD_TOL:.1e}")
     return rho
-
-
-def check_real_symmetric(c: np.ndarray) -> np.ndarray:
-    """Validate a covariance: a finite real square matrix, symmetric within SYM_TOL.
-
-    The defect |c - c^T| > SYM_TOL * max(|c|, 1) is judged on c times
-    _overflow_scale(c), so huge entries cannot hide an asymmetry.
-    """
-    c = require_square(np.asarray(c, dtype=float), "covariance")
-    s = _overflow_scale(c)
-    scaled = s * c
-    if frobenius(scaled - scaled.T) > SYM_TOL * max(frobenius(scaled), s):
-        raise ValueError(f"covariance: not symmetric within {SYM_TOL:.1e}")
-    return c
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:

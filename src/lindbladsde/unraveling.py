@@ -421,20 +421,22 @@ def _run_chunk(step, rho0, basis, dt, n_steps, record_every, seed, start,
 
     states, sq_norms, min_eig = [], [], np.inf
     trace_min, trace_max = np.inf, -np.inf
-    for k in range(n_steps + 1):
-        if k:
-            rho = step(rho, dw[:, k - 1, :])
-            bad = np.flatnonzero(~np.isfinite(rho).all(axis=(-1, -2)))
-            if bad.size:
-                raise NumericalError(
-                    f"trajectory {start + bad[0]}: non-finite state at t={k * dt:g}")
-        traces = np.einsum("kaa->k", rho).real
-        trace_min = min(trace_min, float(traces.min()))
-        trace_max = max(trace_max, float(traces.max()))
-        if k % record_every == 0:
-            states.append(rho.sum(axis=0))
-            sq_norms.append(float(np.einsum("kab,kab->", rho, rho.conj()).real))
-            min_eig = min(min_eig, float(min_eigenvalues(rho).min()))
+    # A step that overflows is caught by the finiteness check, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            if k:
+                rho = step(rho, dw[:, k - 1, :])
+                bad = np.flatnonzero(~np.isfinite(rho).all(axis=(-1, -2)))
+                if bad.size:
+                    raise NumericalError(
+                        f"trajectory {start + bad[0]}: non-finite state at t={k * dt:g}")
+            traces = np.einsum("kaa->k", rho).real
+            trace_min = min(trace_min, float(traces.min()))
+            trace_max = max(trace_max, float(traces.max()))
+            if k % record_every == 0:
+                states.append(rho.sum(axis=0))
+                sq_norms.append(float(np.einsum("kab,kab->", rho, rho.conj()).real))
+                min_eig = min(min_eig, float(min_eigenvalues(rho).min()))
     return _ChunkSums(np.array(states), np.array(sq_norms), trace_min, trace_max, min_eig)
 
 

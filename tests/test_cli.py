@@ -211,7 +211,7 @@ class TestCheckCommand:
         ({"covariance": [1.0]}, "covariance: expected a square matrix, got shape (1,)"),
         ({"covariance": [["a"]]},
          "covariance: malformed literal (could not convert string to float: 'a')"),
-        ({"covariance": [[1, 1e200], [0, 1]], **TWO_OPS}, "covariance: not symmetric"),
+        ({"covariance": [[1, 1e200], [0, 1]], **TWO_OPS}, "covariance: not Hermitian"),
         ({"weights": ["x"]}, "weights: malformed literal (could not convert string to float: 'x')"),
     ], ids=["hamiltonian-2x3", "hamiltonian-non-square", "hamiltonian-nan", "hamiltonian-2d",
             "hamiltonian-scalar-entries", "hamiltonian-scalar", "hamiltonian-ragged",
@@ -240,15 +240,15 @@ class TestCheckCommand:
         import lindbladsde.lindblad as lindblad
 
         calls = []
-        original = lindblad.check_real_symmetric
+        original = lindblad.check_hermitian
 
-        def counting(c):
-            calls.append(c)
-            return original(c)
+        def counting(m, name):
+            calls.append(name)
+            return original(m, name)
 
-        monkeypatch.setattr(lindblad, "check_real_symmetric", counting)
+        monkeypatch.setattr(lindblad, "check_hermitian", counting)
         assert main(["check", "--model", "dephasing"]) == EXIT_OK
-        assert len(calls) == 1
+        assert calls.count("covariance") == 1
 
 
 class TestUsageErrors:
@@ -538,6 +538,36 @@ class TestNumericalFailure:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    # Entries at the ends of the float range: the norms are rescaled by a
+    # power of two and overflowing steps are judged quietly, so each run
+    # ends in its own exit code and message, with no numpy warning first.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, overrides, code, message", [
+        ("check", {"hamiltonian": operator_literal(1e-200)}, EXIT_MODEL,
+         "hamiltonian: not Hermitian (relative defect 1.414e+00 > 1.0e-10)"),
+        ("check", {"hamiltonian": [[[0, 0], [1e-200, 0]], [[1e-200, 0], [0, 0]]]}, EXIT_OK,
+         "model ok"),
+        ("check", {"lindblad_ops": [operator_literal(1e154)]}, EXIT_OK,
+         "trace-constraint residual [0]: 1.414e+154"),
+        ("check", {"weights": [1e200]}, EXIT_MODEL,
+         "weights: sum of squares differs from 1 by inf"),
+        ("sde", {"hamiltonian": [[[0, 0], [1e300, 0]], [[1e300, 0], [0, 0]]]}, EXIT_NUMERICAL,
+         "dt*(|H| + sum|v|^2) = 1.41e+298 > 1.0"),
+        ("ode", {"lindblad_ops": [operator_literal(10.0)]}, EXIT_NUMERICAL,
+         "integrate_ode: non-finite state at t=47"),
+    ], ids=["tiny-non-hermitian-hamiltonian", "tiny-hermitian-hamiltonian",
+            "operator-1e154", "weight-1e200", "hamiltonian-1e300-sde", "decay-blowup-ode"])
+    def test_numeric_edge(self, tmp_path, capsys, command, overrides, code, message):
+        path = write_model(tmp_path, **overrides)
+        csv = str(tmp_path / "out.csv")
+        flags = {"check": [],
+                 "sde": ["--t-final", "0.01", "--dt", "0.01", "--trajectories", "4", "--out", csv],
+                 "ode": ["--t-final", "300", "--dt", "1", "--out", csv]}[command]
+        assert main([command, "--model", path, *flags]) == code
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert "Warning" not in captured.err
 
 
 class TestWorkerFailure:

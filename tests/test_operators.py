@@ -16,7 +16,6 @@ from lindbladsde.operators import (
     adjoint,
     check_density_matrix,
     check_hermitian,
-    check_real_symmetric,
     frobenius,
     hermiticity_defect,
     min_eigenvalues,
@@ -113,25 +112,48 @@ class TestStructureChecks:
         with pytest.raises(ValueError, match="finite"):
             check_hermitian(bad)
 
-    # entries near 1e200 overflow the Frobenius norms of the plain defects
-    @pytest.mark.parametrize("check, bad, message", [
-        (check_hermitian, [[0, 1e200], [0, 0]], "not Hermitian"),
-        (check_real_symmetric, [[1, 1e200], [0, 1]], "not symmetric"),
+    # entries near 1e200 overflow the Frobenius norms of the plain defects;
+    # the real one is a covariance, for which Hermitian means symmetric
+    @pytest.mark.parametrize("bad", [
+        np.array([[0, 1e200], [0, 0]], dtype=complex),
+        np.array([[1, 1e200], [0, 1]], dtype=float),
     ], ids=["hermitian", "symmetric"])
-    def test_huge_entries_cannot_hide_a_defect(self, check, bad, message):
+    def test_huge_entries_cannot_hide_a_defect(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                check(np.array(bad))
-            good = np.array([[0, 1e200], [1e200, 0]])
-            assert check(good) is not None
+            with pytest.raises(ValueError, match="not Hermitian"):
+                check_hermitian(bad)
+            good = np.array([[0, 1e200], [1e200, 0]], dtype=bad.dtype)
+            assert check_hermitian(good) is not None
+
+    # entries near 1e-200 underflow the squares of the plain norms to 0,
+    # and a subnormal peak needs the largest scale there is
+    @pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+    def test_tiny_entries_cannot_hide_a_defect(self, tiny):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hermiticity_defect(np.array([[0, tiny], [0, 0]])) == pytest.approx(2 ** 0.5)
+            with pytest.raises(ValueError, match=r"not Hermitian \(relative defect 1\.414e\+00"):
+                check_hermitian(np.array([[0, tiny], [0, 0]], dtype=complex))
+            assert check_hermitian(np.array([[0, tiny], [tiny, 0]])) is not None
 
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 3.0, 1e100])
     def test_rescaled_defect_keeps_the_plain_bits(self, magnitude):
         # the rescaling is by a power of two, so where the plain formula
-        # does not overflow it gives the same float
+        # neither overflows nor underflows it gives the same float
         m = magnitude * random_complex(philox(5), 4)
-        assert hermiticity_defect(m) == frobenius(m - adjoint(m)) / frobenius(m)
+        assert frobenius(m) == float(np.linalg.norm(m))
+        assert hermiticity_defect(m) == (float(np.linalg.norm(m - adjoint(m)))
+                                         / float(np.linalg.norm(m)))
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_frobenius_is_finite_where_the_plain_norm_is_not(self, magnitude):
+        m = magnitude * random_complex(philox(6), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = frobenius(m)
+        assert 0.0 < norm < np.inf
+        assert norm == pytest.approx(magnitude * frobenius(m / magnitude), rel=1e-15)
 
     def test_pauli_algebra(self):
         # direct multiplication oracle for [sigma_x, sigma_y]

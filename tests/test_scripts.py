@@ -1,4 +1,5 @@
-"""bench_pair's verdict rule holds on made-up runs, without running the benchmark."""
+"""The scripts on made-up inputs: bench_pair's verdict rule, without running
+the benchmark, and code_lines' count."""
 
 import importlib.util
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_bench_pair():
-    spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "scripts" / "bench_pair.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -38,11 +39,39 @@ BASE = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # quartiles
 ])
 def test_bench_pair_verdict(base, change, better, more_failures, expected):
     # bound 0.25, as BENCHMARK.json gives the time metrics
-    judged = load_bench_pair().verdict(base, change, better, 0.25, more_failures)
+    judged = load_script("bench_pair").verdict(base, change, better, 0.25, more_failures)
     assert judged["verdict"] == expected
 
 
 def test_bench_pair_verdict_reports_gap_and_base_spread():
-    judged = load_bench_pair().verdict(BASE, [b + 0.5 for b in BASE], "lower", 0.1)
+    judged = load_script("bench_pair").verdict(BASE, [b + 0.5 for b in BASE], "lower", 0.1)
     assert judged == {"base_iqr": pytest.approx(0.55), "median_gap": pytest.approx(-0.5),
                       "pairs_won": 0, "verdict": "no regression"}
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
+    module = load_script("code_lines")
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment counts as code
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string that is
+    not a docstring"""
+
+    def f(self):
+        """Function docstring."""
+        # another comment
+        return (1 +
+                2)
+'''
+    assert module.code_lines(source) == 7
+    (tmp_path / "m.py").write_text(source)
+    (tmp_path / "n.py").write_text("x = 1\n")
+    module.main([str(tmp_path)])
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["8", "total"]
