@@ -7,7 +7,7 @@ channels with Choi certificates.
 """
 
 from .channels import KrausChannel, apply_kraus, build_infinitesimal_kraus, choi_of
-from .ito import DerivationResult, ItoPolynomial, derive_stochastic_evolution, ito_mul
+from .ito import DerivationResult, derive_stochastic_evolution, ito_mul
 from .lindblad import (
     LindbladModel,
     NoiseBasis,

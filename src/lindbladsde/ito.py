@@ -1,13 +1,18 @@
 """First-order stochastic differential algebra with operator coefficients.
 
-Elements are polynomials over the basis {1, dt, dW^1 .. dW^N} whose
-coefficients are dense complex matrices, held as one (N + 2, d, d) stack
-in that order. Multiplication applies the increment rules
-dW^m dW^n = cov[m, n] dt and dW^m dt = 0, and silently drops everything of
-order dt*dW, dt^2 or higher; that truncation is the definition of the
-algebra, not an approximation knob. Coefficients are matrices rather than
-scalars so left/right operator ordering survives the expansion, which is
-the whole point: the state and the noise operators do not commute.
+An element is a polynomial over the basis {1, dt, dW^1 .. dW^N} whose
+coefficients are dense complex matrices, held as a plain complex
+(N + 2, d, d) array: slot 0 holds the coefficient of 1, slot 1 that of dt,
+and slot 2 + n that of dW^n. The algebra is linear in that array, so sums,
+differences and adjoints of elements are numpy's + and - and
+operators.adjoint; only ito_mul needs to know which slot is which, and it
+makes the one check of an element. Multiplication applies the increment
+rules dW^m dW^n = cov[m, n] dt and dW^m dt = 0, and silently drops
+everything of order dt*dW, dt^2 or higher; that truncation is the
+definition of the algebra, not an approximation knob. Coefficients are
+matrices rather than scalars so left/right operator ordering survives the
+expansion, which is the whole point: the state and the noise operators do
+not commute.
 
 The algebra exists to check, mechanically, that the one-step expansion of
 the weighted noise channel reproduces the master-equation generator in its
@@ -23,93 +28,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import LindbladModel, drift_operator, lindblad_rhs
-from .operators import adjoint, frobenius, readonly
+from .operators import adjoint, frobenius
 
 
-@dataclass(frozen=True)
-class ItoPolynomial:
-    """Operator-valued element terms[0]*1 + terms[1]*dt + sum_n terms[2 + n]*dW^n.
-
-    terms is one complex (N + 2, d, d) stack: the coefficient of 1, then
-    that of dt, then those of dW^1 .. dW^N. The algebra is linear in the
-    stack, so a sum, difference or adjoint of elements is that of their
-    stacks; only ito_mul needs to know which slot is which.
-    """
-
-    terms: np.ndarray  # (N + 2, d, d)
-
-    def __post_init__(self):
-        terms = np.asarray(self.terms, dtype=complex)
-        if terms.ndim != 3 or terms.shape[0] < 3 or terms.shape[1] != terms.shape[2]:
-            raise ValueError(f"terms must be an (N + 2, d, d) stack with N >= 1, "
-                             f"got shape {terms.shape}")
-        object.__setattr__(self, "terms", readonly(terms))
-
-    @property
-    def const_term(self) -> np.ndarray:
-        return self.terms[0]
-
-    @property
-    def dt_term(self) -> np.ndarray:
-        return self.terms[1]
-
-    @property
-    def dw_terms(self) -> np.ndarray:
-        return self.terms[2:]
-
-    @property
-    def dim(self) -> int:
-        return self.terms.shape[1]
-
-    @property
-    def noise_count(self) -> int:
-        return self.terms.shape[0] - 2
-
-    @classmethod
-    def constant(cls, matrix: np.ndarray, noise_count: int) -> "ItoPolynomial":
-        m = np.asarray(matrix, dtype=complex)
-        terms = np.zeros((noise_count + 2, *m.shape), complex)
-        terms[0] = m
-        return cls(terms)
-
-    def adjoint(self) -> "ItoPolynomial":
-        """Dagger every coefficient; the increments themselves are real."""
-        return ItoPolynomial(adjoint(self.terms))
-
-    def __add__(self, other: "ItoPolynomial") -> "ItoPolynomial":
-        self._check_compatible(other, "add")
-        return ItoPolynomial(self.terms + other.terms)
-
-    def __sub__(self, other: "ItoPolynomial") -> "ItoPolynomial":
-        self._check_compatible(other, "subtract")
-        return ItoPolynomial(self.terms - other.terms)
-
-    def _check_compatible(self, other: "ItoPolynomial", what: str) -> None:
-        if self.terms.shape != other.terms.shape:
-            raise ValueError(
-                f"cannot {what} polynomials of dim/noise "
-                f"({self.dim}, {self.noise_count}) and ({other.dim}, {other.noise_count})"
-            )
-
-
-def ito_mul(model: LindbladModel, p: ItoPolynomial, q: ItoPolynomial) -> ItoPolynomial:
+def ito_mul(model: LindbladModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product in the truncated algebra, with cov the model's validated covariance.
+
+    p and q are complex (N + 2, d, d) arrays of one shape, with N the
+    model's noise count; anything else raises ValueError.
 
     const: p.const q.const
     dW^n:  p.const q.dw[n] + p.dw[n] q.const
     dt:    p.const q.dt + p.dt q.const + sum_{m,n} cov[m,n] p.dw[m] q.dw[n]
     """
-    p._check_compatible(q, "multiply")
-    if p.noise_count != model.noise_count:
-        raise ValueError(
-            f"polynomial noise count {p.noise_count} does not match "
-            f"model {model.noise_count}"
-        )
-    const = p.const_term @ q.const_term
-    dw = p.const_term @ q.dw_terms + p.dw_terms @ q.const_term
-    dt = (p.const_term @ q.dt_term + p.dt_term @ q.const_term
-          + np.einsum("mab,mn,nbc->ac", p.dw_terms, model.covariance, q.dw_terms))
-    return ItoPolynomial(np.concatenate((const[None], dt[None], dw)))
+    p = np.asarray(p, dtype=complex)
+    q = np.asarray(q, dtype=complex)
+    n = model.noise_count
+    if p.ndim != 3 or p.shape != q.shape or p.shape[0] != n + 2 or p.shape[1] != p.shape[2]:
+        raise ValueError(f"ito_mul: expected two (N + 2, d, d) stacks of one shape with "
+                         f"N = {n}, got {p.shape} and {q.shape}")
+    const = p[0] @ q[0]
+    dw = p[0] @ q[2:] + p[2:] @ q[0]
+    dt = (p[0] @ q[1] + p[1] @ q[0]
+          + np.einsum("mab,mn,nbc->ac", p[2:], model.covariance, q[2:]))
+    return np.concatenate((const[None], dt[None], dw))
 
 
 @dataclass(frozen=True)
@@ -131,25 +73,22 @@ class DerivationResult:
     noise_residual: float
 
 
-def infinitesimal_operator_polynomials(model: LindbladModel) -> list[ItoPolynomial]:
-    """The channel operators d_n + u_n dt + v_n dW^n as algebra elements.
+def infinitesimal_operator_polynomials(model: LindbladModel) -> np.ndarray:
+    """The channel operators d_n + u_n dt + v_n dW^n, stacked as (N, N + 2, d, d).
 
-    Only the combination U = sum_n d_n u_n is determined by the model; the
-    canonical split u_n = d_n U is used because it is symmetric in n,
-    parameter free, and reduces to the exact single-noise exponential form.
+    Row n is the algebra element of A_n. Only the combination
+    U = sum_n d_n u_n is determined by the model; the canonical split
+    u_n = d_n U is used because it is symmetric in n, parameter free, and
+    reduces to the exact single-noise exponential form.
     """
     d = model.dim
     n = model.noise_count
-    u = drift_operator(model)
-    eye = np.eye(d, dtype=complex)
-    polys = []
-    for k in range(n):
-        terms = np.zeros((n + 2, d, d), complex)
-        terms[0] = model.weights[k] * eye
-        terms[1] = model.weights[k] * u
-        terms[2 + k] = model.lindblad_ops[k]
-        polys.append(ItoPolynomial(terms))
-    return polys
+    w = model.weights[:, None, None]
+    a = np.zeros((n, n + 2, d, d), complex)
+    a[:, 0] = w * np.eye(d, dtype=complex)
+    a[:, 1] = w * drift_operator(model)
+    a[np.arange(n), 2 + np.arange(n)] = model.lindblad_ops
+    return a
 
 
 def derive_stochastic_evolution(model: LindbladModel,
@@ -168,17 +107,16 @@ def derive_stochastic_evolution(model: LindbladModel,
             f"derive_stochastic_evolution: state shape {rho.shape} does not "
             f"match dim {model.dim}"
         )
-    rho_poly = ItoPolynomial.constant(rho, model.noise_count)
-    total = ItoPolynomial(np.zeros_like(rho_poly.terms))
+    rho_poly = np.zeros((model.noise_count + 2, model.dim, model.dim), complex)
+    rho_poly[0] = rho
+    total = np.zeros_like(rho_poly)
     for a_n in infinitesimal_operator_polynomials(model):
-        total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), a_n.adjoint())
+        total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), adjoint(a_n))
     increment = total - rho_poly
-    drift = np.array(increment.dt_term)
-    noise = np.array(increment.dw_terms)
-    expected_noise = np.array([
-        w * (v @ rho + rho @ v.conj().T)
-        for w, v in zip(model.weights, model.lindblad_ops)
-    ])
+    drift = increment[1]
+    noise = increment[2:]
+    expected_noise = model.weights[:, None, None] * (model.lindblad_ops @ rho
+                                                     + rho @ model.adjoint_ops)
     return DerivationResult(
         noise_coefficients=noise,
         drift_coefficient=drift,

@@ -248,11 +248,6 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"lindblad_rhs: state shape {rho.shape[-2:]} does not match dim {model.dim}"
         )
-    return _rhs(model, rho)
-
-
-def _rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """lindblad_rhs for a complex (..., d, d) rho, with no input checks."""
     h = model.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     stacked = rho[..., None, :, :]  # (..., 1, d, d), against the (N, d, d) stacks
@@ -334,10 +329,10 @@ def integrate_ode(model: LindbladModel, rho0: np.ndarray, t_final: float,
     # A step that overflows is caught by the finiteness check, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1 = _rhs(model, rho)
-            k2 = _rhs(model, rho + (0.5 * dt) * k1)
-            k3 = _rhs(model, rho + (0.5 * dt) * k2)
-            k4 = _rhs(model, rho + dt * k3)
+            k1 = lindblad_rhs(model, rho)
+            k2 = lindblad_rhs(model, rho + (0.5 * dt) * k1)
+            k3 = lindblad_rhs(model, rho + (0.5 * dt) * k2)
+            k4 = lindblad_rhs(model, rho + dt * k3)
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             rho = hermitian_part(rho)
             if not np.all(np.isfinite(rho)):

@@ -213,12 +213,18 @@ class TestCheckCommand:
          "covariance: malformed literal (could not convert string to float: 'a')"),
         ({"covariance": [[1, 1e200], [0, 1]], **TWO_OPS}, "covariance: not Hermitian"),
         ({"weights": ["x"]}, "weights: malformed literal (could not convert string to float: 'x')"),
+        ({"weights": [0.6, 0.8]}, "weights: expected shape (1,), got (2,)"),
+        ({"covariance": [[1, 0], [0, 1]]}, "covariance: expected shape (1, 1), got (2, 2)"),
+        ({"lindblad_ops": [[SIGMA_MINUS_LITERAL]]},
+         "lindblad_ops: expected a nonempty (N, d, d) stack, got (1, 1, 2, 2)"),
+        ({"lindblad_ops": []}, "lindblad_ops: expected a nonempty array of matrices"),
     ], ids=["hamiltonian-2x3", "hamiltonian-non-square", "hamiltonian-nan", "hamiltonian-2d",
             "hamiltonian-scalar-entries", "hamiltonian-scalar", "hamiltonian-ragged",
             "hamiltonian-int-overflow", "hamiltonian-huge-non-hermitian", "ops-two-sizes",
             "ops-2x3", "ops-infinity", "ops-vdv-overflow-1e160", "ops-vdv-overflow-5e154",
             "covariance-1x2", "covariance-1d", "covariance-text", "covariance-huge-asymmetric",
-            "weights-text"])
+            "weights-text", "weights-too-many", "covariance-too-large", "ops-too-deep",
+            "ops-empty"])
     def test_file_defect_names_its_field(self, tmp_path, monkeypatch, capsys, overrides,
                                          message):
         monkeypatch.chdir(tmp_path)
@@ -227,6 +233,13 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid model: m.json: {message}")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_file_that_is_not_an_object_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text("[]")
+        assert main(["check", "--model", "m.json"]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err == "invalid model: m.json: expected a JSON object at the top level\n"
 
     def test_huge_hermitian_hamiltonian_is_accepted(self, tmp_path, capsys):
         path = write_model(tmp_path, hamiltonian=[[[0, 0], [1e200, 0]], [[1e200, 0], [0, 0]]])
@@ -291,6 +304,14 @@ class TestUsageErrors:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_unparsable_float_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["choi", "--model", "dephasing", "--dt", "abc",
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: argument --dt: invalid float value: 'abc'\n"
+        assert not out.exists()
 
     def test_seed_beyond_the_philox_key_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "never.csv"

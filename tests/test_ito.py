@@ -1,5 +1,4 @@
 import itertools
-import operator
 
 import numpy as np
 import pytest
@@ -15,13 +14,13 @@ from conftest import (
     random_model,
     random_unit_diag_covariance,
 )
-from lindbladsde.ito import ItoPolynomial, derive_stochastic_evolution, ito_mul
+from lindbladsde.ito import derive_stochastic_evolution, ito_mul
 from lindbladsde.lindblad import drift_operator, lindblad_rhs
-from lindbladsde.operators import SIGMA_Z, frobenius
+from lindbladsde.operators import SIGMA_Z, adjoint, frobenius
 
 
 def polynomial(const, dt, dw):
-    return ItoPolynomial(np.concatenate(([const], [dt], dw)))
+    return np.concatenate(([const], [dt], dw))
 
 
 def random_polynomial(rng, dim, noises):
@@ -34,15 +33,15 @@ def random_polynomial(rng, dim, noises):
 
 def loop_product_terms(cov, p, q):
     """Term-by-term oracle for the truncated product."""
-    n, d = p.noise_count, p.dim
-    const = p.const_term @ q.const_term
-    dt = p.const_term @ q.dt_term + p.dt_term @ q.const_term
+    n, d = p.shape[0] - 2, p.shape[1]
+    const = p[0] @ q[0]
+    dt = p[0] @ q[1] + p[1] @ q[0]
     for m in range(n):
         for k in range(n):
-            dt = dt + cov[m, k] * (p.dw_terms[m] @ q.dw_terms[k])
+            dt = dt + cov[m, k] * (p[2 + m] @ q[2 + k])
     dw = np.zeros((n, d, d), complex)
     for m in range(n):
-        dw[m] = p.const_term @ q.dw_terms[m] + p.dw_terms[m] @ q.const_term
+        dw[m] = p[0] @ q[2 + m] + p[2 + m] @ q[0]
     return const, dt, dw
 
 
@@ -51,16 +50,9 @@ class TestShapeCheck:
                                        np.zeros((3, 2, 3))],
                              ids=["2-d", "no-dw-slot", "non-square"])
     def test_rejects_what_is_not_a_stack(self, terms):
-        with pytest.raises(ValueError, match=r"\(N \+ 2, d, d\) stack"):
-            ItoPolynomial(terms)
-
-    @pytest.mark.parametrize("dim, noises", [(3, 1), (2, 2)], ids=["dim", "noise-count"])
-    @pytest.mark.parametrize("op, what", [(operator.add, "add"), (operator.sub, "subtract")])
-    def test_sum_and_difference_need_the_same_shape(self, op, what, dim, noises):
-        p = ItoPolynomial(np.zeros((3, 2, 2)))
-        q = ItoPolynomial(np.zeros((noises + 2, dim, dim)))
-        with pytest.raises(ValueError, match=f"cannot {what} polynomials"):
-            op(p, q)
+        model = model_with_covariance(np.eye(1))
+        with pytest.raises(ValueError, match=r"\(N \+ 2, d, d\) stacks"):
+            ito_mul(model, terms, terms)
 
 
 class TestItoMul:
@@ -71,9 +63,9 @@ class TestItoMul:
         zero = np.zeros((2, 2), complex)
         p = polynomial(zero, zero, np.array([eye]))
         out = ito_mul(model, p, p)
-        assert np.array_equal(out.dt_term, eye)
-        assert np.array_equal(out.const_term, zero)
-        assert np.array_equal(out.dw_terms[0], zero)
+        assert np.array_equal(out[1], eye)
+        assert np.array_equal(out[0], zero)
+        assert np.array_equal(out[2], zero)
 
     def test_const_times_dt(self):
         model = model_with_covariance(np.eye(1))
@@ -84,8 +76,8 @@ class TestItoMul:
         p = polynomial(x, zero, np.array([zero]))
         q = polynomial(zero, y, np.array([zero]))
         out = ito_mul(model, p, q)
-        assert np.array_equal(out.dt_term, x @ y)
-        assert np.array_equal(out.const_term, zero)
+        assert np.array_equal(out[1], x @ y)
+        assert np.array_equal(out[0], zero)
 
     def test_noise_times_dt_vanishes(self):
         model = model_with_covariance(np.eye(2))
@@ -95,9 +87,9 @@ class TestItoMul:
                        np.array([random_complex(rng, 2), zero.copy()]))
         q = polynomial(zero, random_complex(rng, 2), np.array([zero, zero]))
         out = ito_mul(model, p, q)
-        assert np.array_equal(out.const_term, zero)
-        assert np.array_equal(out.dt_term, zero)
-        assert np.array_equal(out.dw_terms, np.array([zero, zero]))
+        assert np.array_equal(out[0], zero)
+        assert np.array_equal(out[1], zero)
+        assert np.array_equal(out[2:], np.array([zero, zero]))
 
     @given(seed=st.integers(0, 2**32 - 1), noises=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
@@ -109,9 +101,9 @@ class TestItoMul:
         q = random_polynomial(rng, 3, noises)
         out = ito_mul(model, p, q)
         const, dt, dw = loop_product_terms(cov, p, q)
-        assert frobenius(out.const_term - const) < 1e-12
-        assert frobenius(out.dt_term - dt) < 1e-12
-        assert frobenius(out.dw_terms - dw) < 1e-12
+        assert frobenius(out[0] - const) < 1e-12
+        assert frobenius(out[1] - dt) < 1e-12
+        assert frobenius(out[2:] - dw) < 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -123,8 +115,8 @@ class TestItoMul:
         r = random_polynomial(rng, 2, 2)
         left = ito_mul(model, p + q, r)
         right = ito_mul(model, p, r) + ito_mul(model, q, r)
-        assert frobenius(left.dt_term - right.dt_term) < 1e-12
-        assert frobenius(left.dw_terms - right.dw_terms) < 1e-12
+        assert frobenius(left[1] - right[1]) < 1e-12
+        assert frobenius(left[2:] - right[2:]) < 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -136,21 +128,21 @@ class TestItoMul:
         r = random_polynomial(rng, 2, 3)
         left = ito_mul(model, ito_mul(model, p, q), r)
         right = ito_mul(model, p, ito_mul(model, q, r))
-        assert frobenius(left.const_term - right.const_term) < 1e-12
-        assert frobenius(left.dt_term - right.dt_term) < 1e-12
-        assert frobenius(left.dw_terms - right.dw_terms) < 1e-12
+        assert frobenius(left[0] - right[0]) < 1e-12
+        assert frobenius(left[1] - right[1]) < 1e-12
+        assert frobenius(left[2:] - right[2:]) < 1e-12
 
     def test_noise_count_mismatch(self):
         model = model_with_covariance(np.eye(2))
         zero = np.zeros((2, 2), complex)
         p = polynomial(zero, zero, [zero])
-        with pytest.raises(ValueError, match="noise count"):
+        with pytest.raises(ValueError, match=r"N = 2, got \(3, 2, 2\) and \(3, 2, 2\)"):
             ito_mul(model, p, p)
 
     def test_dim_mismatch(self):
         model = model_with_covariance(np.eye(1))
         zero2, zero3 = np.zeros((2, 2), complex), np.zeros((3, 3), complex)
-        with pytest.raises(ValueError, match="multiply"):
+        with pytest.raises(ValueError, match=r"N = 1, got \(3, 2, 2\) and \(3, 3, 3\)"):
             ito_mul(model, polynomial(zero2, zero2, [zero2]),
                     polynomial(zero3, zero3, [zero3]))
 
@@ -179,8 +171,8 @@ class TestExpectation:
         q = random_polynomial(rng, 2, 2)
         product = ito_mul(model_with_covariance(cov), p, q)
         oracle_const, oracle_dt, _ = loop_product_terms(cov, p, q)
-        assert frobenius(product.const_term - oracle_const) < 1e-12
-        assert frobenius(product.dt_term - oracle_dt) < 1e-12
+        assert frobenius(product[0] - oracle_const) < 1e-12
+        assert frobenius(product[1] - oracle_dt) < 1e-12
 
 
 # (dim, noises, rank): every d in 2-4 and N in 1-3, with a full-rank and,
@@ -270,16 +262,16 @@ class TestDeriveStochasticEvolution:
         w = model.weights
         z = np.array([random_complex(rng, dim) for _ in range(noises)])
         z = z - w[:, None, None] * np.einsum("n,nab->ab", w, z) / (w @ w)
-        rho_poly = ItoPolynomial.constant(rho, noises)
-        total = ItoPolynomial(np.zeros((noises + 2, dim, dim)))
+        rho_poly = np.zeros((noises + 2, dim, dim), complex)
+        rho_poly[0] = rho
+        total = np.zeros((noises + 2, dim, dim), complex)
         for n in range(noises):
-            terms = np.zeros((noises + 2, dim, dim), complex)
-            terms[0] = w[n] * np.eye(dim)
-            terms[1] = w[n] * drift_operator(model) + z[n]
-            terms[2 + n] = model.lindblad_ops[n]
-            a_n = ItoPolynomial(terms)
-            total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), a_n.adjoint())
-        drift = (total - rho_poly).dt_term
+            a_n = np.zeros((noises + 2, dim, dim), complex)
+            a_n[0] = w[n] * np.eye(dim)
+            a_n[1] = w[n] * drift_operator(model) + z[n]
+            a_n[2 + n] = model.lindblad_ops[n]
+            total = total + ito_mul(model, ito_mul(model, a_n, rho_poly), adjoint(a_n))
+        drift = (total - rho_poly)[1]
         assert frobenius(drift - lindblad_rhs(model, rho)) < 1e-12
 
     def test_rank_deficient_covariance_still_derives(self):

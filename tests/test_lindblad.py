@@ -225,6 +225,11 @@ class TestGenerator:
         ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         assert frobenius(lindblad_rhs(model, ground)) == 0.0
 
+    def test_state_of_another_dimension_is_refused(self):
+        model = single_noise_model(SIGMA_MINUS)
+        with pytest.raises(ValueError, match=r"state shape \(3, 3\) does not match dim 2"):
+            lindblad_rhs(model, np.eye(3) / 3.0)
+
     def test_static_model(self):
         model = single_noise_model(np.zeros((2, 2), complex))
         assert frobenius(lindblad_rhs(model, random_density(philox(1), 2))) == 0.0

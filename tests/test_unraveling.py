@@ -576,6 +576,11 @@ class TestRunEnsemble:
         assert (d1.trace_min, d1.trace_max, d1.min_eigenvalue) == \
                (d2.trace_min, d2.trace_max, d2.min_eigenvalue)
 
+    def test_needs_a_trajectory(self):
+        with pytest.raises(ValueError, match="n_traj must be at least 1"):
+            run_ensemble(preset_model("dephasing"), uniform_superposition(2), 0.1, 1e-3, 0,
+                         seed=42)
+
     def test_seed_changes_output(self):
         model = preset_model("dephasing")
         a, _ = run_ensemble(model, uniform_superposition(2), 0.1, 1e-3, 300, seed=42)
