@@ -6,7 +6,7 @@ algebra that checks the two agree, and completely positive one-step
 channels with Choi certificates.
 """
 
-from .channels import KrausChannel, apply_kraus, build_infinitesimal_kraus, choi_of
+from .channels import apply_kraus, build_infinitesimal_kraus, choi_of
 from .ito import DerivationResult, derive_stochastic_evolution, ito_mul
 from .lindblad import (
     LindbladModel,

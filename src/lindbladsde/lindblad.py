@@ -41,40 +41,12 @@ class NoiseBasis:
     Only model construction builds one, from the covariance's one
     eigendecomposition, and keeps it as model.noise_basis; the arrays are
     frozen. eigenvalues are ascending and clipped so that anything within
-    CLIP_TOL of zero is exactly zero; active_count is the number of strictly
-    positive eigenvalues. Directions with zero eigenvalue never receive a
-    random draw. smallest_raw_eigenvalue is the smallest eigenvalue before
-    clipping, kept as the PSD diagnostic.
+    CLIP_TOL of zero is exactly zero. Directions with zero eigenvalue never
+    receive a random draw.
     """
 
     orthogonal: np.ndarray   # (N, N), columns are eigenvectors
     eigenvalues: np.ndarray  # (N,), ascending, >= 0
-    active_count: int
-    smallest_raw_eigenvalue: float
-
-    @property
-    def noise_count(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def _eigenbasis(c: np.ndarray) -> NoiseBasis:
-    """Eigendecompose a symmetric covariance, zeroing eigenvalues within CLIP_TOL.
-
-    The package's one eigendecomposition of a covariance, run once by model
-    construction. Raises ValueError when the covariance is not positive
-    semidefinite.
-    """
-    w, o = np.linalg.eigh(c)
-    smallest = float(w[0])
-    if smallest < -CLIP_TOL:
-        raise ValueError(
-            f"covariance: not positive semidefinite "
-            f"(min eigenvalue {smallest:.3e} < -{CLIP_TOL:.1e})"
-        )
-    w = np.where(w <= CLIP_TOL, 0.0, w)
-    return NoiseBasis(orthogonal=readonly(o), eigenvalues=readonly(w),
-                      active_count=int(np.count_nonzero(w > 0.0)),
-                      smallest_raw_eigenvalue=smallest)
 
 
 @dataclass(frozen=True)
@@ -120,15 +92,16 @@ class LindbladModel:
     symmetric, go through the one structure check, check_hermitian; the
     covariance's shape and unit diagonal (SYM_TOL) are checked here. A
     weight too large to square reads as weight residual inf, without a numpy
-    warning. The PSD check is the covariance's one eigendecomposition, kept
-    as noise_basis for the runners. Construction also derives, once, what
-    every path reads: the residual report, kept as report (the soft
-    per-trajectory trace constraint is reported there, never enforced), the
-    drift operator U, kept as drift, and the stacks of v_n^dagger and
-    v_n^dagger v_n, kept as adjoint_ops and vdv_ops; lindblad_rhs reads
-    both, and the Euler step kernel reads adjoint_ops. All arrays are copied
-    and frozen, so a model is safe to share across threads and worker
-    processes.
+    warning. The PSD check is the covariance's one eigendecomposition: its
+    eigenvectors and clipped eigenvalues are kept as noise_basis for the
+    runners, and its smallest raw eigenvalue gives the report's PSD
+    residual. Construction also derives, once, what every path reads: the
+    residual report, kept as report (the soft per-trajectory trace
+    constraint is reported there, never enforced), the drift operator U,
+    kept as drift, and the stacks of v_n^dagger and v_n^dagger v_n, kept as
+    adjoint_ops and vdv_ops; lindblad_rhs reads both, and the Euler step
+    kernel reads adjoint_ops. All arrays are copied and frozen, so a model
+    is safe to share across threads and worker processes.
     """
 
     hamiltonian: np.ndarray
@@ -178,8 +151,17 @@ class LindbladModel:
             )
         # Everything below reads the frozen copies the model keeps.
         h, ops, w, c = map(readonly, (h, ops, w, c))
-        # Raises on an indefinite covariance, so no invalid model escapes.
-        basis = _eigenbasis(c)
+        # The package's one eigendecomposition of a covariance. It refuses an
+        # indefinite covariance, so no invalid model escapes.
+        eigenvalues, orthogonal = np.linalg.eigh(c)
+        smallest = float(eigenvalues[0])
+        if smallest < -CLIP_TOL:
+            raise ValueError(
+                f"covariance: not positive semidefinite "
+                f"(min eigenvalue {smallest:.3e} < -{CLIP_TOL:.1e})"
+            )
+        basis = NoiseBasis(readonly(orthogonal),
+                           readonly(np.where(eigenvalues <= CLIP_TOL, 0.0, eigenvalues)))
         # vdv_ops by stacked matmul, not einsum: each v_n^dagger v_n then has
         # the bits of the single product v_n^dagger @ v_n. Huge entries
         # overflow these products, so they are formed quietly, then judged.
@@ -202,7 +184,7 @@ class LindbladModel:
         report = ValidationReport(
             weight_residual=weight_residual,
             diagonal_residual=diagonal_residual,
-            psd_residual=max(0.0, -basis.smallest_raw_eigenvalue),
+            psd_residual=max(0.0, -smallest),
             drift_residuals=readonly(residuals),
             trajectory_trace_preserving=bool(np.all(residuals <= DRIFT_CONSTRAINT_TOL)),
         )

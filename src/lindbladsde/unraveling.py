@@ -377,7 +377,7 @@ def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
     stream layout does not depend on the covariance rank, and inactive
     directions get exactly zero.
     """
-    xi = np.empty((count, n_steps, basis.noise_count))
+    xi = np.empty((count, n_steps, len(basis.eigenvalues)))
     for i in range(count):
         trajectory_rng(seed, start + i).standard_normal(out=xi[i])
     return _correlate(xi, basis, dt)
@@ -629,8 +629,9 @@ def run_ensemble(model: LindbladModel, rho0: np.ndarray, t_final: float,
     in chunk order as they arrive, so the result is identical for a given
     (seed, n_traj, dt, model) whatever the worker count, and a failure is
     that of the lowest-index failing chunk. A worker that dies before
-    sending a chunk's record, killed by a signal for example, raises WorkerDiedError naming its exit status or signal, and no
-    worker outlives the call. Trace extremes are tracked at every step,
+    sending a chunk's record, killed by a signal for example, raises
+    WorkerDiedError naming its exit status or signal, and no worker
+    outlives the call. Trace extremes are tracked at every step,
     eigenvalue and purity diagnostics at the recorded samples.
 
     Args:

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import philox, random_complex, random_density, random_model
-from lindbladsde.channels import (
-    KrausChannel,
-    apply_kraus,
-    build_infinitesimal_kraus,
-    choi_of,
-)
+from lindbladsde.channels import apply_kraus, build_infinitesimal_kraus, choi_of
 from lindbladsde.lindblad import LindbladModel, NumericalError
 from lindbladsde.operators import (
     SIGMA_X,
@@ -23,15 +18,20 @@ from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superpositio
 from lindbladsde.unraveling import _euler_update
 
 
-def completeness_residual(channel):
+def completeness_residual(ops):
     """Frobenius distance of sum_k A_k^dagger A_k from the identity."""
-    ops = channel.operators
-    return frobenius(np.einsum("kba,kbc->ac", ops.conj(), ops) - np.eye(channel.dim))
+    return frobenius(np.einsum("kba,kbc->ac", ops.conj(), ops) - np.eye(ops.shape[1]))
+
+
+# Both consumers of a stack, each given a stack and nothing else to refuse.
+CONSUMERS = pytest.mark.parametrize(
+    "consume", [choi_of, lambda ops: apply_kraus(ops, np.eye(2))],
+    ids=["choi_of", "apply_kraus"])
 
 
 class TestApplyKraus:
     def test_identity_channel(self):
-        ch = KrausChannel(np.array([np.eye(2, dtype=complex)]))
+        ch = np.array([np.eye(2, dtype=complex)])
         x = random_complex(philox(0), 2)
         assert np.array_equal(apply_kraus(ch, x), x)
 
@@ -40,7 +40,7 @@ class TestApplyKraus:
         # 0.5 |0><0| + 0.5 |0><1||1><0| = |0><0| by direct 2x2 multiplication.
         a1 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         a2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        ch = KrausChannel(np.array([a1, a2]))
+        ch = np.array([a1, a2])
         out = apply_kraus(ch, np.eye(2, dtype=complex) / 2.0)
         assert np.allclose(out, np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-15)
 
@@ -49,26 +49,37 @@ class TestApplyKraus:
     @settings(max_examples=25, deadline=None)
     def test_preserves_hermiticity_and_positivity(self, seed, dim, n_ops):
         rng = philox(seed)
-        ch = KrausChannel(np.array([random_complex(rng, dim) for _ in range(n_ops)]))
+        ch = np.array([random_complex(rng, dim) for _ in range(n_ops)])
         x = random_density(rng, dim)
         out = apply_kraus(ch, x)
         assert frobenius(out - adjoint(out)) <= 1e-10 * max(1.0, frobenius(out))
         assert np.linalg.eigvalsh(hermitian_part(out))[0] >= -1e-10
 
     def test_dimension_mismatch(self):
-        ch = KrausChannel(np.array([np.eye(2, dtype=complex)]))
-        with pytest.raises(ValueError, match="does not match dim"):
+        ch = np.array([np.eye(2, dtype=complex)])
+        with pytest.raises(ValueError, match="apply_kraus: operand shape .* does not match dim 2"):
             apply_kraus(ch, np.eye(3))
 
-    def test_empty_channel_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            KrausChannel(np.zeros((0, 2, 2)))
+    @CONSUMERS
+    def test_empty_channel_rejected(self, consume):
+        with pytest.raises(ValueError, match="expected a nonempty .K, d, d. stack"):
+            consume(np.zeros((0, 2, 2)))
+
+    @CONSUMERS
+    @pytest.mark.parametrize("ops, match", [
+        (np.zeros((1, 2, 3)), r"nonempty .* got \(1, 2, 3\)"),
+        (np.eye(2), r"nonempty .* got \(2, 2\)"),
+        (np.array([[[1.0, 0.0], [0.0, np.nan]]]), "entries must be finite"),
+        (np.array([[[1.0, 0.0], [0.0, np.inf]]]), "entries must be finite"),
+    ], ids=["non-square", "not-a-stack", "nan", "inf"])
+    def test_malformed_stack_rejected(self, consume, ops, match):
+        with pytest.raises(ValueError, match=match):
+            consume(ops)
 
 
 class TestChoi:
     def test_identity_channel_is_rank_one_projector(self):
-        ch = KrausChannel(np.array([np.eye(2, dtype=complex)]))
-        choi = choi_of(ch)
+        choi = choi_of(np.array([np.eye(2, dtype=complex)]))
         eigs = np.linalg.eigvalsh(choi)
         assert abs(np.trace(choi).real - 2.0) < 1e-12
         assert np.allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
@@ -79,9 +90,9 @@ class TestChoi:
         ops = np.array([p / np.sqrt(2.0) / np.sqrt(2.0) for p in paulis])
         # oracle: this channel maps every state to the maximally mixed state
         rho = random_density(philox(2), 2)
-        out = apply_kraus(KrausChannel(ops), rho)
+        out = apply_kraus(ops, rho)
         assert np.allclose(out, np.eye(2) / 2.0, atol=1e-14)
-        choi = choi_of(KrausChannel(ops))
+        choi = choi_of(ops)
         assert np.allclose(choi, np.eye(4) / 2.0, atol=1e-14)
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
@@ -89,7 +100,7 @@ class TestChoi:
     @settings(max_examples=25, deadline=None)
     def test_always_psd(self, seed, dim, n_ops):
         rng = philox(seed)
-        ch = KrausChannel(np.array([random_complex(rng, dim) for _ in range(n_ops)]))
+        ch = np.array([random_complex(rng, dim) for _ in range(n_ops)])
         assert np.linalg.eigvalsh(choi_of(ch))[0] >= -1e-10
 
 
@@ -102,7 +113,7 @@ class TestInfinitesimalChannel:
             covariance=np.eye(1),
         )
         ch = build_infinitesimal_kraus(model, 1e-3, np.zeros(1))
-        assert np.array_equal(ch.operators[0], np.eye(2))
+        assert np.array_equal(ch[0], np.eye(2))
         assert completeness_residual(ch) == 0.0
 
     def test_single_noise_unitary_expansion(self):
@@ -113,7 +124,7 @@ class TestInfinitesimalChannel:
         ch = build_infinitesimal_kraus(model, dt, np.array([dw]))
         expected = (np.eye(2) - 1j * SIGMA_Z * dw
                     + (-1j * SIGMA_Z - 0.5 * SIGMA_Z @ SIGMA_Z) * dt)
-        assert frobenius(ch.operators[0] - expected) < 1e-14
+        assert frobenius(ch[0] - expected) < 1e-14
 
     def test_matches_euler_step_at_strong_order_three_halves(self):
         # halving-ratio oracle: with increments of magnitude sqrt(dt) the
@@ -143,8 +154,7 @@ class TestInfinitesimalChannel:
         rng = philox(seed)
         model = random_model(rng, dim, noises)
         dt = 1e-3
-        ch = build_infinitesimal_kraus(model, dt, np.zeros(noises))
-        ops = ch.operators
+        ops = build_infinitesimal_kraus(model, dt, np.zeros(noises))
         total = np.einsum("kba,kbc->ac", ops.conj(), ops)
         vdv = np.einsum("nba,nbc->ac", model.lindblad_ops.conj(), model.lindblad_ops)
         compensated = total - np.eye(dim) + vdv * dt

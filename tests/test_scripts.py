@@ -75,3 +75,10 @@ class A:
     (tmp_path / "n.py").write_text("x = 1\n")
     module.main([str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[-1].split() == ["8", "total"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "lindbladsde").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_source_lines_fit_110_columns(path):
+    long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 110]
+    assert long == [], f"{path.name}: lines over 110 columns: {long}"
