@@ -392,8 +392,15 @@ class TestKernelBits:
             return str(caught.value)
 
         grouped = failure()
-        monkeypatch.setattr("lindbladsde.unraveling._grouped_matmul", np.matmul)
+        calls = []
+
+        def ungrouped(a, b, *workspace, **new_rows):
+            calls.append(1)
+            return np.matmul(a, b)
+
+        monkeypatch.setattr("lindbladsde.unraveling._grouped_matmul", ungrouped)
         assert grouped == failure()
+        assert len(calls) > 0
         assert re.fullmatch(r"trajectory \d+: non-finite state at t=0\.\d+", grouped)
 
     def test_euler_update_memory_stays_near_the_per_operator_products(self):
@@ -427,6 +434,84 @@ class TestKernelBits:
             normals = trajectory_rng(seed, start + i).standard_normal((n_steps, model.noise_count))
             row = _correlate(normals, model.noise_basis, dt)
             assert np.array_equal(chunk[i], row)
+
+
+def signed_zero_increments(rng, shape, step):
+    """Gaussian increments with some rows exactly +0.0 and some -0.0, moving with step."""
+    dw = rng.standard_normal(shape) * 0.03
+    dw[step % 3::3] = 0.0
+    dw[(step + 1) % 4::4] = -0.0
+    return dw
+
+
+# One-step tracemalloc peak of the parent kernel, which built its operands
+# afresh in every call: _euler_update on 4096 two-noise-correlated states
+# (d = 2, N = 2), numpy 2.4.6. A chunk's workspace holds both grouped blocks,
+# which that kernel built one after the other, and their results, so a
+# chunk may hold at most twice this.
+PARENT_EULER_STEP_PEAK = 4_525_816
+
+
+class TestWorkspaceReuse:
+    """A chunk's held workspace gives every step the bits of a one-shot call.
+
+    Each kernel runs STEPS steps on one workspace, as _run_chunk does, and
+    each step is compared word for word, and by layout, with a call on a
+    fresh workspace. The counts leave a short last group in every grouped
+    product; the states start with exact zeros and some increments are
+    exactly +0.0 or -0.0. A diagonal left from an earlier step changes
+    some words, and so does padding that holds a non-finite value. Finite
+    padding cannot: it only adds exact zeros, whose signs the kernels'
+    +0.0 erases.
+    """
+
+    STEPS = 4
+
+    @pytest.mark.parametrize("dim, noises", [
+        *((dim, noises) for dim in (1, 2, 3, 5, 8) for noises in (1, 3, 16)), (3, 10), (2, 40)])
+    def test_euler_steps_match_one_shot_calls(self, dim, noises):
+        rng = philox(110 + dim)
+        model = random_model(rng, dim, noises)
+        stack_rows = min(max(1, _GROUP_MULTIPLIES // dim**3) * dim, (noises + 1) * dim)
+        for count in sorted(set(group_counts(dim, dim)) | set(group_counts(stack_rows, dim))):
+            rho = with_exact_zeros(rng.standard_normal((count, dim, dim))
+                                   + 1j * rng.standard_normal((count, dim, dim)))
+            workspace = {}
+            for step in range(self.STEPS):
+                dw = signed_zero_increments(rng, (count, noises), step)
+                fresh = _euler_update(model, rho, 1e-3, dw)
+                rho = _euler_update(model, rho, 1e-3, dw, workspace)
+                assert np.array_equal(words(rho), words(fresh)), (count, step)
+                assert rho.strides == fresh.strides
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_unitary_steps_match_one_shot_calls(self, dim):
+        rng = philox(120 + dim)
+        h, k = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        for count in group_counts(dim, dim):
+            rho = with_exact_zeros(rng.standard_normal((count, dim, dim))
+                                   + 1j * rng.standard_normal((count, dim, dim)))
+            workspace = {}
+            for step in range(self.STEPS):
+                dw = signed_zero_increments(rng, count, step)
+                fresh = _unitary_update(h, k, rho, 1e-3, dw)
+                rho = _unitary_update(h, k, rho, 1e-3, dw, workspace)
+                assert np.array_equal(words(rho), words(fresh)), (count, step)
+                assert rho.strides == fresh.strides
+
+    def test_chunk_memory_stays_within_twice_the_parent_step(self):
+        # the chunk holds its increments besides the workspace and states
+        model, n_steps = preset_model("two-noise-correlated"), 8
+        args = (_euler_step(model, 1e-3), uniform_superposition(2), model.noise_basis, 1e-3,
+                n_steps, 1, 3, 0, 4096)
+        increment_bytes = 4096 * n_steps * model.noise_count * 8
+        tracemalloc.start()
+        try:
+            _run_chunk(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= increment_bytes + 2 * PARENT_EULER_STEP_PEAK
 
 
 class TestStochasticUnitaryStep:
@@ -526,9 +611,9 @@ class TestRunTrajectory:
         original = unr._euler_update
         calls = {"n": 0}
 
-        def failing(model, rho, dt, dw):
+        def failing(model, rho, dt, dw, workspace=None):
             calls["n"] += 1
-            out = original(model, rho, dt, dw)
+            out = original(model, rho, dt, dw, workspace)
             if calls["n"] == 4:
                 out = out.copy()
                 out[..., 0, 0] = np.inf
@@ -538,6 +623,7 @@ class TestRunTrajectory:
         with pytest.raises(NumericalError, match=r"trajectory 0: .*t=0.004"):
             run_trajectory(preset_model("dephasing"), uniform_superposition(2), 0.1, 1e-3,
                            seed=2)
+        assert calls["n"] > 0
 
     def test_warns_in_stiff_region(self):
         model = LindbladModel(
@@ -799,9 +885,11 @@ class TestChunkProcesses:
             for c in failing_chunks
         }
         original = unr._euler_update
+        calls = []
 
-        def failing(model, rho, dt, dw):
-            out = original(model, rho, dt, dw)
+        def failing(model, rho, dt, dw, workspace=None):
+            calls.append(1)  # counted in this process only, so by the serial run
+            out = original(model, rho, dt, dw, workspace)
             if dw[0].tobytes() in first_steps:
                 out = out.copy()
                 out[min(5, len(out) - 1), 0, 0] = np.inf
@@ -816,6 +904,7 @@ class TestChunkProcesses:
                              seed=3)
             messages.append(str(caught.value))
         assert forks == ["fork"] * 2
+        assert len(calls) > 0
         assert messages == ["trajectory 4101: non-finite state at t=0.001"] * 2
 
     @pytest.mark.parametrize("case", ["trajectory", "one-chunk", "one-cpu",
@@ -945,8 +1034,10 @@ try:
 except NumericalError as exc:
     print(exc)
 """,
-            # Ctrl-C reaches the parent while both workers are still busy
+            # Ctrl-C reaches the parent while both workers are still busy; a
+            # background job inherits SIGINT ignored, so the handler is set
             "interrupt": """
+signal.signal(signal.SIGINT, signal.default_int_handler)
 def sleeping(*args):
     if args[-2] == 4096:
         os.kill(os.getppid(), signal.SIGINT)
