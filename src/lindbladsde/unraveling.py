@@ -13,17 +13,18 @@ both are monitored and reported, never enforced.
 
 The update is computed in the kernels _euler_update and _unitary_update;
 each stepper is one entry of one table, _STEP_BUILDERS, which _prepare
-reads once per run. Each chunk makes one workspace, a dict that
-_run_chunk creates when it starts and drops when it returns, and passes
-it to every step: the kernels keep in it the operands, results and
-states they build once and rewrite in place. It lives in no module
-global and in no step closure, so chunks in forked workers, in the
-thread pool and in this process share nothing; a kernel called without
-one makes its own for the one call.
+reads once per run. A builder returns chunk_step(count), which _run_chunk
+calls when it starts: the step it returns owns whatever its kernel keeps
+between steps, for the Euler kernel an _EulerWorkspace of the chunk's
+shape, with the zero blocks, padded right stacks and results of its
+grouped products, built once instead of once per product. It is made per
+chunk and kept in no module global and no builder, so chunks in forked
+workers, in the thread pool and in this process share nothing, and it
+goes when the chunk returns.
 
 run_trajectory and run_ensemble are the public ways to step. Both are
-one driver, _run_range, over a range of trajectory indices:
-one trajectory, or all n_traj of an ensemble. The driver cuts the range
+one driver, _run_range, over a range of trajectory indices: one
+trajectory, or all n_traj of an ensemble. The driver cuts the range
 into fixed-size chunks, and each chunk reports one record, _ChunkSums: the
 sums of its recorded states and squared norms, its trace extremes and its
 smallest eigenvalue. That record is all that crosses the worker boundary,
@@ -73,7 +74,6 @@ from .lindblad import (
 from .operators import (
     adjoint,
     check_hermitian,
-    hermitian_part,
     min_eigenvalues,
     purities,
     readonly,
@@ -175,33 +175,35 @@ _GROUP_MULTIPLIES = 288
 
 
 class _Grouped:
-    """The held operands and result of one grouped product, see _grouped_matmul.
+    """The operands and result of _grouped_matmul for one batch shape and (m, d, n).
 
-    For K = 1 only the result is held. For K > 1 the zero (groups, K, m,
-    K, d) block, the writable einsum view of its diagonal blocks and the
-    (groups K, d, n) right stack are held too. Nothing but the diagonal
-    and the first count right factors is ever written, so the off-diagonal
-    blocks and the padding stay exact zeros.
+    For K > 1: the zero (groups, K, m, K, d) block, the writable einsum
+    view of its K diagonal blocks, the (groups K, d, n) row stack of right
+    factors, zero past the batch, and the result; for K = 1 only the
+    result. A product writes only the diagonal blocks of the batch's
+    trajectories and the stack's first count factors, so the other blocks
+    and the padding stay exact zeros however often the operands are
+    reused.
     """
 
-    def __init__(self, batch: tuple, m: int, d: int, n: int, dtype):
-        self.count = count = math.prod(batch)
+    def __init__(self, batch: tuple, m: int, d: int, n: int, dtype=complex):
+        self.batch, self.count = batch, math.prod(batch)
         k = math.isqrt(_GROUP_MULTIPLIES // (m * d * n)) if m > 1 and n > 1 else 1
-        self.k = k = max(1, min(count, k))
+        self.k = k = max(1, min(self.count, k))
         if k == 1:
             self.out = np.empty(batch + (m, n), dtype)
             return
-        groups = -(-count // k)
+        groups = -(-self.count // k)
         block = np.zeros((groups, k, m, k, d), dtype)
         self.diagonal = np.einsum("gjajb->gjab", block)  # a writable view of the K blocks
-        self.right = np.zeros((groups * k, d, n), dtype)
+        self.right = np.empty((groups * k, d, n), dtype)
+        self.right[self.count:] = 0.0  # the padding; a product writes the rest
         self.left = block.reshape(groups, k * m, k * d)
         self.stack = self.right.reshape(groups, k * d, n)
         self.out = np.empty((groups, k * m, n), dtype)
 
 
-def _grouped_matmul(a: np.ndarray, b: np.ndarray, workspace: dict | None = None,
-                    name: str = "", new_rows: int | None = None) -> np.ndarray:
+def _grouped_matmul(a: np.ndarray, b: np.ndarray, held: _Grouped | None = None) -> np.ndarray:
     """a @ b for stacks a (..., m, d) and b (..., d, n), K trajectories per BLAS call.
 
     K consecutive trajectories' left factors are placed on the diagonal of
@@ -214,21 +216,18 @@ def _grouped_matmul(a: np.ndarray, b: np.ndarray, workspace: dict | None = None,
     product. An entry that is exactly zero can lose its sign: a zero term
     0 * x has the sign of x, and -0.0 + +0.0 is +0.0, so a -0.0 of a @ b
     can come out +0.0. So the kernels return no -0.0 at all, see
-    _hermitian_state. At K = 1 the product is a @ b itself, into a held
-    result, and so it is for a one-row a or a one-column b: numpy
-    multiplies those on a vector path, which rounds differently from a
-    group's matrix product. The column form, [A_1 | ... | A_K] times the
-    block diagonal of the B_i, changes bits at d = 2, 3 and 5 and is not
-    used.
+    _hermitian_state. At K = 1 the product is a @ b itself,
+    and so it is for a one-row a or a one-column b: numpy multiplies those
+    on a vector path, which rounds differently from a group's matrix
+    product. The column form, [A_1 | ... | A_K] times the block diagonal
+    of the B_i, changes bits at d = 2, 3 and 5 and is not used.
 
-    The block, its diagonal view, the padded right stack and the result
-    are a _Grouped, kept in workspace under (name, shapes, new_rows), so a
-    chunk builds them once and each product only rewrites the diagonal and
-    the first count right factors; without a workspace they last one call.
-    The result is a view of the held buffer, valid until the next product
-    under the same key. new_rows says that only a's first new_rows rows
-    changed since the last call with that key: the rest are left on the
-    diagonal as the first call wrote them.
+    The block, the stack and the result are held, a _Grouped built for the
+    batch shape and (m, d, n): a kernel that makes the same product every
+    step passes its own, and each product then only rewrites the diagonal
+    blocks and the right factors, not a zero block per call. The result is
+    a view of held's buffer, valid until held's next product. Without held
+    the buffers last the one call.
 
     A non-finite entry of a stays in its own trajectory's rows, but one of
     b would turn the other results of its group into NaN through 0 * inf,
@@ -237,87 +236,74 @@ def _grouped_matmul(a: np.ndarray, b: np.ndarray, workspace: dict | None = None,
     model, increments and dt, and q^dagger and V^dagger come from a finite
     eigh.
     """
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    (m, d), n = a.shape[-2:], b.shape[-1]
-    if new_rows is not None and new_rows >= m:
-        new_rows = None
-    key = (name, batch, m, d, n, new_rows)
-    held = None if workspace is None else workspace.get(key)
     if held is None:
-        held = _Grouped(batch, m, d, n, np.result_type(a, b))
-        if workspace is not None:
-            workspace[key] = held
-        new_rows = None  # the first call writes every row
+        held = _Grouped(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), *a.shape[-2:],
+                        b.shape[-1], np.result_type(a, b))
     if held.k == 1:
         return np.matmul(a, b, out=held.out)
+    (m, d), n = a.shape[-2:], b.shape[-1]
     count, k = held.count, held.k
     full = count // k
-    a = np.broadcast_to(a, batch + (m, d)).reshape(count, m, d)[:, :new_rows]
-    held.diagonal[:full, :, :new_rows] = a[:full * k].reshape(full, k, -1, d)
-    held.diagonal[full:, :count - full * k, :new_rows] = a[full * k:]
-    held.right[:count] = np.broadcast_to(b, batch + (d, n)).reshape(count, d, n)
+    a = np.broadcast_to(a, held.batch + (m, d)).reshape(count, m, d)
+    held.diagonal[:full] = a[:full * k].reshape(full, k, m, d)
+    held.diagonal[full:, :count - full * k] = a[full * k:]
+    held.right[:count] = np.broadcast_to(b, held.batch + (d, n)).reshape(count, d, n)
     np.matmul(held.left, held.stack, out=held.out)
-    return held.out.reshape(-1, m, n)[:count].reshape(batch + (m, n))
+    return held.out.reshape(-1, m, n)[:count].reshape(held.batch + (m, n))
 
 
-def _elementwise(ufunc, *operands, out: np.ndarray) -> np.ndarray:
-    """ufunc(*operands, out=out) on stacks (..., d, d), trajectories innermost at d <= 3.
+def _hermitian_state(m: np.ndarray) -> np.ndarray:
+    """hermitian_part(m) with every zero +0.0, C-contiguous: the state both kernels return.
 
-    An elementwise result does not depend on the order it is computed in.
-    In its own order numpy runs one inner loop of d^2 entries or fewer per
-    trajectory wherever the operands' layouts or broadcasts differ, as they
-    do in the kernels; with every operand seen as (d, d, ...) and the loop
-    in C order it runs d^2 loops over the trajectories. At 4096
-    trajectories that measured 1.5-2.5 times faster at d = 2 and 3, about
-    even at d = 4 and 5 and 3 times slower at d = 8.
+    Adding 0.0 turns -0.0 into +0.0 and leaves every other value as it is,
+    so a kernel's result is that of its ungrouped products plus 0.0, bit
+    for bit, whichever trajectories share its groups. hermitian_part's own
+    operations, 0.5 (m + m^dagger), go into one new C-contiguous array:
+    hermitian_part returns each matrix transposed from 256 KiB up, where
+    numpy sums into the adjoint's temporary, and every copy and elementwise
+    pass of the next step then mixed two layouts. The layout moves no bit
+    of a chunk's records, at d = 2 to 8 under both steppers.
     """
-    ndim = out.ndim
-    if ndim < 3 or out.shape[-1] > 3:
-        return ufunc(*operands, out=out)
-    axes = (ndim - 2, ndim - 1, *range(ndim - 2))
-
-    def last(x):
-        x = np.asarray(x)
-        return x.reshape((1,) * (ndim - x.ndim) + x.shape).transpose(axes) if x.ndim else x
-
-    ufunc(*map(last, operands), out=last(out), order="C")
+    out = np.conjugate(np.swapaxes(m, -1, -2), out=np.empty(m.shape, dtype=complex))
+    np.add(m, out, out=out)
+    np.multiply(0.5, out, out=out)
+    out += 0.0
     return out
 
 
-def _next_state(workspace: dict, rho: np.ndarray, shape: tuple) -> np.ndarray:
-    """The workspace's held state that rho is not: a chunk's states alternate between two.
+class _EulerWorkspace:
+    """What _euler_update keeps between steps, for one model and one batch shape.
 
-    A state is made as hermitian_part of zeros, so it has the layout numpy
-    gives every hermitian_part result of that shape: transposed within
-    each matrix from 256 KiB, where numpy sums into adjoint's temporary.
-    The next step's products and the chunk's reductions then read the
-    strides they read on a fresh result, and with them the same bits.
+    left is the stacked operand [G; v_1; ...] of the first product: its
+    v_n rows are written here once, its G rows by every step. sum is the
+    sum whose Hermitian part becomes the new state; before that, each step
+    sums G in the same memory, seen as (d, d, ...) with the trajectories
+    innermost. products holds one _Grouped per row count m of the
+    (m x d)(d x d) products, shared by the products of that shape, each
+    result used up before the next. So at d = 32, where every product is
+    d x d, a step holds one product, as the kernel did when it kept
+    nothing.
     """
-    states = workspace.setdefault("states", [])
-    for state in states:
-        if state is not rho:
-            return state
-    state = hermitian_part(np.zeros(shape, dtype=complex))
-    states.append(state)
-    return state
+
+    def __init__(self, model: LindbladModel, batch: tuple):
+        d = model.dim
+        self.batch, self.dim = batch, d
+        self.rows = model.lindblad_ops.reshape(-1, d)  # v_1; v_2; ... stacked by rows
+        self.size = max(1, _GROUP_MULTIPLIES // d**3) * d  # rows of one stacked product
+        self.left = np.zeros(batch + (min(self.size, d + len(self.rows)), d), dtype=complex)
+        self.left[..., d:, :] = self.rows[:self.size - d]
+        self.sum = np.empty(batch + (d, d), dtype=complex)
+        self.products = {}
+
+    def product(self, m: int) -> _Grouped:
+        """The held operands of the (m x d)(d x d) products."""
+        if m not in self.products:
+            self.products[m] = _Grouped(self.batch, m, self.dim, self.dim)
+        return self.products[m]
 
 
-def _hermitian_state(m: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """hermitian_part(m) with every zero +0.0, into out: the state both kernels return.
-
-    scratch, which may be out but not m, takes m^dagger. Adding 0.0 turns
-    -0.0 into +0.0 and leaves every other value as it is, so a kernel's
-    result is that of its ungrouped products plus 0.0, bit for bit,
-    whichever trajectories share its groups.
-    """
-    np.conjugate(np.swapaxes(m, -1, -2), out=scratch)
-    _elementwise(np.add, m, scratch, out=out)
-    _elementwise(np.multiply, 0.5, out, out=out)
-    return _elementwise(np.add, out, 0.0, out=out)
-
-
-def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
-                  dw: np.ndarray, workspace: dict | None = None) -> np.ndarray:
+def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float, dw: np.ndarray,
+                  workspace: _EulerWorkspace | None = None) -> np.ndarray:
     """One linear update, no finiteness check. rho (..., d, d), dw (..., N).
 
     Returns the Hermitian part, zeros +0.0 (_hermitian_state), of
@@ -344,88 +330,86 @@ def _euler_update(model: LindbladModel, rho: np.ndarray, dt: float,
     differ at d = 2, and the states stacked by columns,
     v [rho_1 | rho_2 | ...], whose bits differ at d = 2, 3 and 5.
 
-    The workspace holds, for the chunk: the first stacked operand, whose
-    v_n rows are written once and whose G rows each step rewrites; one
-    scratch stack for G's terms, G^dagger, each (v_n rho) v_n^dagger and
-    m^dagger in turn; the grouped products; and the two states. The new
-    state is summed in the held state that rho is not. Products of one
-    shape share one _Grouped, each result used up before the next product
-    of that shape, so at d = 32 the step holds about what one product per
-    operator would.
+    workspace, an _EulerWorkspace for rho's and dw's batch shape, holds
+    what every step rewrites: the stacked operand, whose v_n rows are
+    constant, the zero blocks and results of the grouped products and the
+    new state's sum. A chunk builds one and passes it to each of its
+    steps; without one the call builds its own. Every word of the result
+    is that of a call on a new workspace, whatever the steps before wrote.
     """
-    workspace = {} if workspace is None else workspace
     d = model.dim
-    batch = np.broadcast_shapes(rho.shape[:-2], dw.shape[:-1])
-    out = _next_state(workspace, rho, batch + (d, d))
-    rows = model.lindblad_ops.reshape(-1, d)  # v_1; v_2; ... stacked by rows
-    size = max(1, _GROUP_MULTIPLIES // d**3) * d  # rows of one stacked product
-    if "left" not in workspace:
-        left = np.zeros(batch + (min(size, d + len(rows)), d), dtype=complex)
-        left[..., d:, :] = rows[:size - d]
-        workspace.update(left=left, scratch=np.empty(batch + (d, d), dtype=complex))
-    left, scratch = workspace["left"], workspace["scratch"]
-    g = left[..., :d, :]
+    if workspace is None:
+        workspace = _EulerWorkspace(model, np.broadcast_shapes(rho.shape[:-2], dw.shape[:-1]))
+    left, ones = workspace.left, (1,) * len(workspace.batch)
+    # G is summed in the sum's memory, seen as (d, d, ...) with the
+    # trajectories innermost, so that each term is one loop over the batch,
+    # not one loop of d^2 per trajectory.
+    g = workspace.sum.reshape((d, d) + workspace.batch)
     g[...] = 0.0
-    coefficients = dw * model.weights
-    for n, v in enumerate(model.lindblad_ops):
-        _elementwise(np.multiply, coefficients[..., n, None, None], v, out=scratch)
-        _elementwise(np.add, g, scratch, out=g)
-    _elementwise(np.add, g, dt * drift_operator(model), out=g)
-    stacked = _grouped_matmul(left, rho, workspace, "euler", new_rows=d)
-    _elementwise(np.add, rho, stacked[..., :d, :], out=out)
-    gdag = np.conjugate(g, out=scratch).swapaxes(-1, -2)
-    _elementwise(np.add, out, _grouped_matmul(rho, gdag, workspace, "euler"), out=out)
+    for c, v in zip(np.moveaxis(dw * model.weights, -1, 0), model.lindblad_ops):
+        g += v.reshape((d, d) + ones) * c
+    g += (dt * drift_operator(model)).reshape((d, d) + ones)
+    left[..., :d, :] = np.moveaxis(g, (0, 1), (-2, -1))
+    gdag = np.moveaxis(np.conjugate(g), (0, 1), (-1, -2))  # G^dagger per trajectory
+    # The G rows of [G; v_1; ...] rho are used before rho G^dagger is made,
+    # as the two products share one _Grouped when the stack is G alone.
+    stacked = _grouped_matmul(left, rho, workspace.product(left.shape[-2]))
+    out = np.add(rho, stacked[..., :d, :], out=workspace.sum)
+    out += _grouped_matmul(rho, gdag, workspace.product(d))
+    del gdag
     for n, vdag in enumerate(model.adjoint_ops):
-        at = (n + 1) * d % size  # first row of v_n rho in its stacked product
+        at = (n + 1) * d % workspace.size  # first row of v_n rho in its stacked product
         if at == 0:
-            stacked = _grouped_matmul(rows[n * d:n * d + size], rho, workspace, "euler")
-        vrho = stacked[..., at:at + d, :]
-        if not vrho.flags.c_contiguous:  # v_n rho's rows out of a larger stack
-            if "v rho" not in workspace:
-                workspace["v rho"] = np.empty(vrho.shape, dtype=complex)
-            np.copyto(workspace["v rho"], vrho)
-            vrho = workspace["v rho"]
-        # one (count*d x d)(d x d) product, with the bits of count d x d ones
-        term = np.matmul(vrho.reshape(-1, d), vdag, out=scratch.reshape(-1, d))
-        term *= dt
-        _elementwise(np.add, out, term.reshape(out.shape), out=out)
-    return _hermitian_state(out, out, scratch)
+            rows = workspace.rows[n * d:n * d + workspace.size]
+            stacked = _grouped_matmul(rows, rho, workspace.product(len(rows)))
+        # The right factor is one product over the whole trajectory batch,
+        # (count*d x d)(d x d), with the bits of count stacked d x d
+        # products; the reshape copies v_n rho's rows out of a larger stack.
+        out += dt * (stacked[..., at:at + d, :].reshape(-1, d) @ vdag).reshape(out.shape)
+    return _hermitian_state(out)
 
 
 def _unitary_update(h: np.ndarray, k: np.ndarray, rho: np.ndarray, dt: float,
-                    dw: np.ndarray, workspace: dict | None = None) -> np.ndarray:
+                    dw: np.ndarray) -> np.ndarray:
     """Exact step V rho V^dagger with V = exp(-i (H dt + K dW)), no input checks.
 
     h and k are Hermitian (d, d); rho (..., d, d) and dw (...) are stacked.
     The exponential is evaluated by eigendecomposition of the Hermitian
     combination, so trace and the full spectrum of rho are preserved to
     rounding. Its three per-trajectory products, (q e^{-iw}) q^dagger,
-    V rho and (V rho) V^dagger, go through _grouped_matmul, each under its
-    own name in the workspace, and the result, zeros +0.0
-    (_hermitian_state), goes into the held state that rho is not; it has
-    the bits of one product per trajectory.
+    V rho and (V rho) V^dagger, go through _grouped_matmul; the result,
+    zeros +0.0 (_hermitian_state), has the bits of one product per
+    trajectory. Nothing is kept between calls: each product builds its
+    zero block for the one call. Held per chunk, as the Euler kernel holds
+    its own, those blocks gained nothing on the benchmark's exact-unitary
+    workload, whose steps eigh dominates (op_wall_s 0.193 s held against
+    0.187 s, medians of 10 pairs).
     """
-    workspace = {} if workspace is None else workspace
     generator = h * dt + k * np.expand_dims(dw, (-1, -2))
-    out = _next_state(workspace, rho, np.broadcast_shapes(generator.shape, rho.shape))
     w, q = np.linalg.eigh(generator)
-    v = _grouped_matmul(q * np.exp(-1j * w)[..., None, :], adjoint(q), workspace, "V")
-    vrho = _grouped_matmul(v, rho, workspace, "V rho")
-    return _hermitian_state(_grouped_matmul(vrho, adjoint(v), workspace, "V rho V^dagger"),
-                            out, out)
+    v = _grouped_matmul(q * np.exp(-1j * w)[..., None, :], adjoint(q))
+    return _hermitian_state(_grouped_matmul(_grouped_matmul(v, rho), adjoint(v)))
 
 
 def _euler_step(model: LindbladModel, dt: float):
-    """step(rho, dw, workspace) of the general linear scheme, _euler_update; any model runs."""
-    return lambda rho, dw, workspace=None: _euler_update(model, rho, dt, dw, workspace)
+    """chunk_step(count) of the general linear scheme, _euler_update; any model runs.
+
+    Each chunk_step call builds one _EulerWorkspace for count trajectories
+    and returns the step(rho, dw) that runs on it.
+    """
+    def chunk_step(count: int):
+        workspace = _EulerWorkspace(model, (count,))
+        return lambda rho, dw: _euler_update(model, rho, dt, dw, workspace)
+    return chunk_step
 
 
 def _exact_unitary_step(model: LindbladModel, dt: float):
-    """step(rho, dw, workspace) of the exact unitary conjugation, _unitary_update.
+    """chunk_step(count) of the exact unitary conjugation, _unitary_update.
 
     Only single-noise models whose operator v = -iK is anti-Hermitian
     qualify; for those the one-step evolution is an exact unitary
-    conjugation. K is checked here, once per run.
+    conjugation. K is checked here, once per run. The step keeps nothing
+    between calls, so every chunk gets the same one.
     """
     if model.noise_count != 1:
         raise ValueError(
@@ -433,13 +417,16 @@ def _exact_unitary_step(model: LindbladModel, dt: float):
             f"{model.noise_count} noise operators"
         )
     k = check_hermitian(1j * model.lindblad_ops[0], name="noise operator (as -iK)")
-    return lambda rho, dw, workspace=None: _unitary_update(model.hamiltonian, k, rho, dt,
-                                                           dw[..., 0], workspace)
+
+    def step(rho, dw):
+        return _unitary_update(model.hamiltonian, k, rho, dt, dw[..., 0])
+    return lambda count: step
 
 
-# The one table of steppers: each name maps to a builder of step(rho, dw, workspace)
-# for (model, dt) that raises ValueError for a model the stepper cannot
-# run. The first name is the default.
+# The one table of steppers: each name maps to a builder for (model, dt),
+# which raises ValueError for a model the stepper cannot run and otherwise
+# returns chunk_step(count), the step(rho, dw) of one chunk of count
+# trajectories. The first name is the default.
 _STEP_BUILDERS = {"euler": _euler_step, "exact_unitary": _exact_unitary_step}
 STEPPERS = tuple(_STEP_BUILDERS)
 
@@ -524,18 +511,18 @@ class _ChunkSums:
                           min(self.min_eigenvalue, later.min_eigenvalue))
 
 
-def _run_chunk(step, rho0, basis, dt, n_steps, record_every, seed, start,
+def _run_chunk(chunk_step, rho0, basis, dt, n_steps, record_every, seed, start,
                count) -> _ChunkSums:
     """Evolve trajectories [start, start+count) together: the one time loop.
 
-    step(rho, dw, workspace) is the run's update from _prepare, applied to
-    the whole chunk with the (count, N) increments of one step and the
-    chunk's own workspace; basis and dt give the increments. Step 0 is the
-    initial state, which is recorded like every record_every-th step after
-    it.
+    chunk_step is the run's update from _prepare; the chunk's own step,
+    chunk_step(count), advances the whole chunk with the (count, N)
+    increments of one step; basis and dt give the increments. Step 0 is
+    the initial state, which is recorded like every record_every-th step
+    after it.
     """
+    step = chunk_step(count)
     rho = np.broadcast_to(rho0, (count, *rho0.shape)).astype(complex)
-    workspace = {}  # the kernels' held buffers, this chunk's only
     dw = _trajectory_increments(seed, start, count, n_steps, basis, dt)
 
     states, sq_norms, min_eig = [], [], np.inf
@@ -544,9 +531,9 @@ def _run_chunk(step, rho0, basis, dt, n_steps, record_every, seed, start,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             if k:
-                rho = step(rho, dw[:, k - 1, :], workspace)
-                bad = np.flatnonzero(~np.isfinite(rho).all(axis=(-1, -2)))
-                if bad.size:
+                rho = step(rho, dw[:, k - 1, :])
+                if not np.isfinite(rho).all():  # the trajectory is looked up on failure only
+                    bad = np.flatnonzero(~np.isfinite(rho).all(axis=(-1, -2)))
                     raise NumericalError(
                         f"trajectory {start + bad[0]}: non-finite state at t={k * dt:g}")
             traces = np.einsum("kaa->k", rho).real
@@ -562,22 +549,22 @@ def _run_chunk(step, rho0, basis, dt, n_steps, record_every, seed, start,
 def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
     """Checks, time grid and step update of a run, for the driver _run_range.
 
-    The one place a stepper name becomes an update: step(rho, dw,
-    workspace=None) advances stacked states rho (..., d, d) by dt with
-    increments dw (..., N), keeping its buffers in workspace; the
+    The one place a stepper name becomes an update: chunk_step(count)
+    returns the step(rho, dw) of one chunk, which advances its stacked
+    states rho (count, d, d) by dt with increments dw (count, N); the
     stepper's entry of _STEP_BUILDERS builds it. rho0 (against the model's
     dimension too), the stepper, the model's eligibility, dt and the grid
     are checked here, in that order, once per run, so the kernels check
     nothing and a model the stepper cannot run is reported as such at any
-    dt. Returns (rho0, n_steps, record times, step).
+    dt. Returns (rho0, n_steps, record times, chunk_step).
     """
     rho0 = _initial_state(model, rho0, name)
     if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
-    step = _STEP_BUILDERS[stepper](model, dt)
+    chunk_step = _STEP_BUILDERS[stepper](model, dt)
     check_step_size(model, dt)
     n_steps, times = time_grid(t_final, dt, record_every, name)
-    return rho0, n_steps, times, step
+    return rho0, n_steps, times, chunk_step
 
 
 def _process_count(jobs: list) -> int:
@@ -704,13 +691,13 @@ def _run_range(model, rho0, t_final, dt, record_every, stepper, name, seed,
     one record waits to be folded.
     """
     _check_key(seed, start + count - 1)
-    rho0, n_steps, times, step = _prepare(
+    rho0, n_steps, times, chunk_step = _prepare(
         model, rho0, t_final, dt, record_every, stepper, name)
     jobs = [(s, min(_CHUNK_TRAJECTORIES, start + count - s))
             for s in range(start, start + count, _CHUNK_TRAJECTORIES)]
 
     def work(job):
-        return _run_chunk(step, rho0, model.noise_basis, dt, n_steps,
+        return _run_chunk(chunk_step, rho0, model.noise_basis, dt, n_steps,
                           record_every, seed, *job)
 
     return times, functools.reduce(_ChunkSums.merge, _map_chunks(work, jobs, workers))

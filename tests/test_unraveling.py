@@ -394,7 +394,7 @@ class TestKernelBits:
         grouped = failure()
         calls = []
 
-        def ungrouped(a, b, *workspace, **new_rows):
+        def ungrouped(a, b, held=None):
             calls.append(1)
             return np.matmul(a, b)
 
@@ -444,28 +444,42 @@ def signed_zero_increments(rng, shape, step):
     return dw
 
 
-# One-step tracemalloc peak of the parent kernel, which built its operands
-# afresh in every call: _euler_update on 4096 two-noise-correlated states
-# (d = 2, N = 2), numpy 2.4.6. A chunk's workspace holds both grouped blocks,
-# which that kernel built one after the other, and their results, so a
-# chunk may hold at most twice this.
-PARENT_EULER_STEP_PEAK = 4_525_816
+# One-step tracemalloc peak of the Euler kernel as it was before chunks
+# held workspaces, when it built its operands afresh in every call:
+# _euler_update on 4096 two-noise-correlated states (d = 2, N = 2). The
+# figure is numpy 2.4.6's allocation pattern for that kernel; another numpy
+# may allocate its temporaries differently. A chunk's workspace holds both
+# grouped blocks, which that kernel built one after the other, and their
+# results, so a chunk may hold at most twice this.
+UNHELD_EULER_STEP_PEAK = 4_525_816
 
 
 class TestWorkspaceReuse:
-    """A chunk's held workspace gives every step the bits of a one-shot call.
+    """A chunk's step gives every step the bits of a one-shot kernel call.
 
-    Each kernel runs STEPS steps on one workspace, as _run_chunk does, and
-    each step is compared word for word, and by layout, with a call on a
-    fresh workspace. The counts leave a short last group in every grouped
-    product; the states start with exact zeros and some increments are
-    exactly +0.0 or -0.0. A diagonal left from an earlier step changes
-    some words, and so does padding that holds a non-finite value. Finite
-    padding cannot: it only adds exact zeros, whose signs the kernels'
-    +0.0 erases.
+    Each stepper's chunk_step(count) runs STEPS steps, as _run_chunk does,
+    and each step is compared word for word, and by layout, with a kernel
+    call that builds its operands for that call alone. The counts leave a
+    short last group in every grouped product; the states start with exact
+    zeros and some increments are exactly +0.0 or -0.0. A diagonal left
+    from an earlier step changes some words, and so does padding that
+    holds a non-finite value. Finite padding cannot: it only adds exact
+    zeros, whose signs the kernels' +0.0 erases.
     """
 
     STEPS = 4
+
+    def steps_match(self, chunk_step, one_shot, rng, counts, dim, noises):
+        for count in counts:
+            step = chunk_step(count)
+            rho = with_exact_zeros(rng.standard_normal((count, dim, dim))
+                                   + 1j * rng.standard_normal((count, dim, dim)))
+            for k in range(self.STEPS):
+                dw = signed_zero_increments(rng, (count, noises), k)
+                fresh = one_shot(rho, dw)
+                rho = step(rho, dw)
+                assert np.array_equal(words(rho), words(fresh)), (count, k)
+                assert rho.strides == fresh.strides
 
     @pytest.mark.parametrize("dim, noises", [
         *((dim, noises) for dim in (1, 2, 3, 5, 8) for noises in (1, 3, 16)), (3, 10), (2, 40)])
@@ -473,33 +487,22 @@ class TestWorkspaceReuse:
         rng = philox(110 + dim)
         model = random_model(rng, dim, noises)
         stack_rows = min(max(1, _GROUP_MULTIPLIES // dim**3) * dim, (noises + 1) * dim)
-        for count in sorted(set(group_counts(dim, dim)) | set(group_counts(stack_rows, dim))):
-            rho = with_exact_zeros(rng.standard_normal((count, dim, dim))
-                                   + 1j * rng.standard_normal((count, dim, dim)))
-            workspace = {}
-            for step in range(self.STEPS):
-                dw = signed_zero_increments(rng, (count, noises), step)
-                fresh = _euler_update(model, rho, 1e-3, dw)
-                rho = _euler_update(model, rho, 1e-3, dw, workspace)
-                assert np.array_equal(words(rho), words(fresh)), (count, step)
-                assert rho.strides == fresh.strides
+        counts = sorted(set(group_counts(dim, dim)) | set(group_counts(stack_rows, dim)))
+        self.steps_match(_euler_step(model, 1e-3),
+                         lambda rho, dw: _euler_update(model, rho, 1e-3, dw),
+                         rng, counts, dim, noises)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_unitary_steps_match_one_shot_calls(self, dim):
         rng = philox(120 + dim)
-        h, k = random_hermitian(rng, dim), random_hermitian(rng, dim)
-        for count in group_counts(dim, dim):
-            rho = with_exact_zeros(rng.standard_normal((count, dim, dim))
-                                   + 1j * rng.standard_normal((count, dim, dim)))
-            workspace = {}
-            for step in range(self.STEPS):
-                dw = signed_zero_increments(rng, count, step)
-                fresh = _unitary_update(h, k, rho, 1e-3, dw)
-                rho = _unitary_update(h, k, rho, 1e-3, dw, workspace)
-                assert np.array_equal(words(rho), words(fresh)), (count, step)
-                assert rho.strides == fresh.strides
+        model = random_model(rng, dim, 1, anti_hermitian=True)
+        k = 1j * model.lindblad_ops[0]
+        self.steps_match(_exact_unitary_step(model, 1e-3),
+                         lambda rho, dw: _unitary_update(model.hamiltonian, k, rho, 1e-3,
+                                                         dw[:, 0]),
+                         rng, group_counts(dim, dim), dim, 1)
 
-    def test_chunk_memory_stays_within_twice_the_parent_step(self):
+    def test_chunk_memory_stays_within_twice_the_unheld_step(self):
         # the chunk holds its increments besides the workspace and states
         model, n_steps = preset_model("two-noise-correlated"), 8
         args = (_euler_step(model, 1e-3), uniform_superposition(2), model.noise_basis, 1e-3,
@@ -511,7 +514,7 @@ class TestWorkspaceReuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= increment_bytes + 2 * PARENT_EULER_STEP_PEAK
+        assert peak <= increment_bytes + 2 * UNHELD_EULER_STEP_PEAK
 
 
 class TestStochasticUnitaryStep:
@@ -560,7 +563,7 @@ class TestUnitaryEligibility:
         model = preset_model("stochastic-unitary-larmor")
         rho = random_density(philox(12), 2)
         dw = np.array([[0.03], [-0.05]])
-        step = _exact_unitary_step(model, 1e-3)
+        step = _exact_unitary_step(model, 1e-3)(len(dw))
         expected = _unitary_update(model.hamiltonian, SIGMA_Z, rho, 1e-3, dw[:, 0])
         assert np.array_equal(step(rho, dw), expected)
 
