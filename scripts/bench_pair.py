@@ -6,11 +6,14 @@ from pair to pair, so that a slow spell of the machine falls on both
 sides alike. Every workload gets 10 pairs of runs, each as long as
 `run_seconds` in BENCHMARK.json. Writes every run's end-to-end metrics
 and `correct` flag, the per-side medians and quartiles, the change/base
-ratio of the medians and each side's `source_sha256` (perfbench's digest
-of the package and benchmark sources) to one JSON file, together with
-the command that reproduces it, base commit resolved. Each end-to-end
-metric of each workload also gets the base's quartile spread, the gap
-between the medians and a verdict, see `verdict`.
+ratio of the medians, each run's 1-, 5- and 15-minute load averages
+from just before and just after it, and each side's `source_sha256`
+(perfbench's digest of the package and benchmark sources) to one JSON
+file, together with the command that reproduces it, base commit
+resolved. Each end-to-end metric of each workload also gets the base's
+quartile spread, the gap between the medians and a verdict, see
+`verdict`; the load averages are recorded only, and the verdict does not
+read them.
 
     python3 scripts/bench_pair.py --workload sde-qubit-long sde-qubit-wide \\
         --seed 1001 --base HEAD~1 --out BENCH_4.json
@@ -69,11 +72,17 @@ def copy_working_tree(target: Path) -> None:
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; returns its result line plus the run's environment."""
+    """One perfbench run; returns its result line plus the run's environment.
+
+    load holds os.getloadavg() read just before and just after the run, so
+    a pair that ran in a loaded spell of the machine can be told apart.
+    """
+    load_before = os.getloadavg()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    load_after = os.getloadavg()
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"perfbench/run.py failed in {checkout} "
@@ -84,6 +93,7 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+        "load": {"before": list(load_before), "after": list(load_after)},
         "env": detail["env"],
     }
 
@@ -175,8 +185,10 @@ def main() -> int:
                     record["env"] = {k: run["env"][k] for k in ("numpy", "python", "blas",
                                                                 "blas_threads")}
                     runs[side].append({k: v for k, v in run.items() if k != "env"})
+                    load = run["load"]
                     print(f"{workload} pair {pair} {side}: correct={run['correct']} "
-                          + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
+                          + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
+                          + f" load1={load['before'][0]:.2f}->{load['after'][0]:.2f}",
                           file=sys.stderr, flush=True)
             entry = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS}
             for side, side_runs in runs.items():

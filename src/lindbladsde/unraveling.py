@@ -33,16 +33,20 @@ one record and the running sum, not one record per chunk.
 
 Randomness contract: increments come from the counter-based Philox
 generator keyed by (seed, trajectory index), drawn in step order within a
-trajectory. Trajectory i therefore receives the same noise no matter how
-trajectories are scheduled, and ensemble reductions run in a fixed
-trajectory-index order with a fixed chunk size, so results are
-bit-reproducible for a given (seed, n_traj, dt, model) regardless of the
-worker count. _map_chunks evaluates the chunks in worker processes forked
-directly, one per usable CPU up to the chunk count; each writes one pickle
-frame per chunk to its own pipe as soon as the chunk is done, the parent
-reads the frames in chunk order, and a worker that dies before sending a
-chunk's frame, killed by a signal for example, raises WorkerDiedError
-rather than hanging. run_ensemble's workers=n thread pool, which
+trajectory. A chunk keeps one Philox generator, a local of the call that
+draws its increments, and re-keys it for each trajectory through
+trajectory_rng's reuse argument, which sets the key and a zero counter,
+so the stream is that of a new Philox(key=[seed, i]). Trajectory i
+therefore receives the same noise no matter how trajectories are
+scheduled, and ensemble reductions run in a fixed trajectory-index order
+with a fixed chunk size, so results are bit-reproducible for a given
+(seed, n_traj, dt, model) regardless of the worker count. _map_chunks
+evaluates the chunks in worker processes forked directly, one per usable
+CPU up to the chunk count; each writes one pickle frame per chunk to its
+own pipe as soon as the chunk is done, the parent reads the frames in
+chunk order, and a worker that dies before sending a chunk's frame,
+killed by a signal for example, raises WorkerDiedError rather than
+hanging. run_ensemble's workers=n thread pool, which
 _map_chunks also runs, is kept only because the benchmark's own tests pin
 it.
 """
@@ -76,7 +80,6 @@ from .operators import (
     check_hermitian,
     min_eigenvalues,
     purities,
-    readonly,
 )
 
 
@@ -103,26 +106,6 @@ def _correlate(xi: np.ndarray, basis: NoiseBasis, dt: float) -> np.ndarray:
     return xi @ basis.orthogonal.T
 
 
-@functools.cache
-def _key_sequence():
-    """Seed-sequence type that hands Philox a fixed 128-bit key as its state.
-
-    Philox(key=...) first builds a seed sequence from OS entropy and then
-    discards it; Philox(_key_sequence()(key)) takes the key as the state its
-    seed sequence generates, so the stream is the same without that
-    entropy. The type is built on first use because subclassing numpy's
-    ISeedSequence loads numpy.random, which importing this module does not.
-    """
-    class KeySequence(np.random.bit_generator.ISeedSequence):
-        def __init__(self, key: tuple[int, int]):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-
-    return KeySequence
-
-
 def _check_key(seed: int, traj_index: int) -> tuple[int, int]:
     """The (seed, trajectory index) pair as ints, if it is a Philox key.
 
@@ -137,24 +120,31 @@ def _check_key(seed: int, traj_index: int) -> tuple[int, int]:
     return seed, traj_index
 
 
-# Philox's starting counter, shared by every trajectory. Philox copies it
-# into its own state, so no generator can change it; it is frozen anyway.
-_ZERO_COUNTER = readonly(np.zeros(4, dtype=np.uint64))
-
-
-def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
+def trajectory_rng(seed: int, traj_index: int,
+                   reuse: np.random.Generator | None = None) -> np.random.Generator:
     """Counter-based generator for one trajectory, keyed by (seed, index).
 
     The stream is that of Generator(Philox(key=[seed, traj_index])); both
-    must be integers in [0, 2**64), one 64-bit word of the key each. The zero
-    counter is passed as a ready uint64 array: left at its default, Philox
-    converts the integer 0 into that array on every construction, which
-    measured about a quarter of the cost of building and filling one
-    trajectory's generator. The key goes in as the checked pair of ints,
-    which Philox reads word by word, with no array built per call.
+    must be integers in [0, 2**64), one 64-bit word of the key each. The
+    generator is reuse, or a new Philox one when reuse is None, with its
+    state set to the key, a zero counter and empty buffers, so whatever it
+    drew before does not reach the stream. A chunk keeps one generator and
+    passes it back as reuse for each trajectory: setting the state measured
+    about 0.5 us, building a new Philox generator about 11. The key is
+    checked before reuse is touched, so a rejected key leaves reuse as it
+    was; a reuse whose bit generator is not Philox raises ValueError.
     """
-    return np.random.Generator(np.random.Philox(_key_sequence()(_check_key(seed, traj_index)),
-                                                counter=_ZERO_COUNTER))
+    seed, traj_index = _check_key(seed, traj_index)
+    generator = np.random.Generator(np.random.Philox(0)) if reuse is None else reuse
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, traj_index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the buffer holds no unread words
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
 
 
 # Complex multiplies in one BLAS call, the one budget of the kernels'
@@ -477,13 +467,17 @@ def _trajectory_increments(seed: int, start: int, count: int, n_steps: int,
     Row i is _correlate of the (n_steps, N) standard normals that
     trajectory_rng(seed, start + i) draws, in step order: each trajectory's
     normals go straight into the chunk array, which is then transformed
-    once. Each direction gets one draw per step, active or not, so the
-    stream layout does not depend on the covariance rank, and inactive
-    directions get exactly zero.
+    once. One generator, built for the first trajectory, is re-keyed for
+    each of the others, and it goes when the call returns. Each direction
+    gets one draw per step, active or not, so the stream layout does not
+    depend on the covariance rank, and inactive directions get exactly
+    zero.
     """
     xi = np.empty((count, n_steps, len(basis.eigenvalues)))
+    generator = None
     for i in range(count):
-        trajectory_rng(seed, start + i).standard_normal(out=xi[i])
+        generator = trajectory_rng(seed, start + i, generator)
+        generator.standard_normal(out=xi[i])
     return _correlate(xi, basis, dt)
 
 

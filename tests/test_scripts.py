@@ -1,7 +1,9 @@
-"""The scripts on made-up inputs: bench_pair's verdict rule, without running
-the benchmark, and code_lines' count."""
+"""The scripts on made-up inputs: bench_pair's verdict rule and run record,
+without running the benchmark, and code_lines' count."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,28 @@ def test_bench_pair_verdict_reports_gap_and_base_spread():
     judged = load_script("bench_pair").verdict(BASE, [b + 0.5 for b in BASE], "lower", 0.1)
     assert judged == {"base_iqr": pytest.approx(0.55), "median_gap": pytest.approx(-0.5),
                       "pairs_won": 0, "verdict": "no regression"}
+
+
+def test_bench_pair_run_records_the_load_before_and_after(tmp_path, monkeypatch):
+    module = load_script("bench_pair")
+    detail = {"env": {"source_sha256": "abc"}}
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"op_wall_s": {"value": 0.25, "unit": "s"}}}
+    stdout = json.dumps(detail) + "\n" + json.dumps(result) + "\n"
+    commands = []
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    readings = iter([(1.5, 1.25, 1.0), (2.5, 1.75, 1.125)])
+    monkeypatch.setattr(module.subprocess, "run", run)
+    monkeypatch.setattr(module.os, "getloadavg", lambda: next(readings))
+    record = module.bench_run(tmp_path, "sde-qubit-wide", 1005, 1.0)
+    assert len(commands) == 1 and "perfbench/run.py" in commands[0]
+    assert record["load"] == {"before": [1.5, 1.25, 1.0], "after": [2.5, 1.75, 1.125]}
+    assert record["metrics"] == {"op_wall_s": 0.25} and record["env"] == detail["env"]
+    assert json.loads(json.dumps(record)) == record
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):

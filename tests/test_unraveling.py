@@ -1347,17 +1347,83 @@ class TestTrajectoryRng:
         assert np.array_equal(trajectory_rng(seed, index).standard_normal(10**4), expected)
 
     def test_live_generators_keep_their_own_state(self):
-        # every generator starts from the one shared zero counter
         a, b = trajectory_rng(7, 0), trajectory_rng(7, 1)
         interleaved = [(a.standard_normal(5), b.standard_normal(5)) for _ in range(40)]
         alone_a = trajectory_rng(7, 0).standard_normal(200)
-        alone_b = trajectory_rng(7, 1).standard_normal(200)
+        alone_b = trajectory_rng(7, 1).standard_normal(400)
         assert np.array_equal(np.concatenate([x for x, _ in interleaved]), alone_a)
-        assert np.array_equal(np.concatenate([y for _, y in interleaved]), alone_b)
+        assert np.array_equal(np.concatenate([y for _, y in interleaved]), alone_b[:200])
+        # re-keying one live generator leaves the other's stream where it was
+        assert trajectory_rng(7, 2, reuse=a) is a
+        assert np.array_equal(b.standard_normal(200), alone_b[200:])
+        assert np.array_equal(a.standard_normal(200), trajectory_rng(7, 2).standard_normal(200))
+
+    @pytest.mark.parametrize("draw", [
+        lambda g: g.standard_normal(7),
+        lambda g: g.random(3),
+        lambda g: g.integers(0, 10, dtype=np.uint32),  # leaves half a 64-bit word
+        lambda g: g.bytes(5),
+    ], ids=["odd-normals", "random-3", "uint32", "bytes-5"])
+    @pytest.mark.parametrize("seed, index", [(0, 0), (2**64 - 1, 2**64 - 1), (5, 2**64 - 1),
+                                             (np.uint64(2**64 - 1), np.int64(3))])
+    def test_rekeyed_generator_gives_the_fresh_stream(self, draw, seed, index):
+        g = trajectory_rng(11, 4)
+        draw(g)
+        expected = trajectory_rng(seed, index).standard_normal(10**4)
+        assert trajectory_rng(seed, index, reuse=g) is g
+        assert np.array_equal(g.standard_normal(10**4), expected)
+
+    def test_uint32_draw_leaves_a_half_word_that_the_rekey_drops(self):
+        g = trajectory_rng(11, 4)
+        g.integers(0, 10, dtype=np.uint32)
+        assert g.bit_generator.state["has_uint32"] == 1
+        trajectory_rng(11, 4, reuse=g)
+        assert g.bit_generator.state["has_uint32"] == 0
+
+    @pytest.mark.parametrize("seed, index, error", [(-1, 0, ValueError), (2**64, 0, ValueError),
+                                                    (0.5, 0, TypeError), (0, -1, ValueError)])
+    def test_rejected_key_leaves_reuse_as_it_was(self, seed, index, error):
+        g, twin = trajectory_rng(3, 9), trajectory_rng(3, 9)
+        g.standard_normal(3)
+        twin.standard_normal(3)
+        with pytest.raises(error):
+            trajectory_rng(seed, index, reuse=g)
+        assert np.array_equal(g.standard_normal(100), twin.standard_normal(100))
+
+    def test_refuses_a_generator_that_is_not_philox(self):
+        g = np.random.Generator(np.random.PCG64(0))
+        expected = np.random.Generator(np.random.PCG64(0)).standard_normal(10)
+        with pytest.raises(ValueError, match="PCG64"):
+            trajectory_rng(0, 0, reuse=g)
+        assert np.array_equal(g.standard_normal(10), expected)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "thread-pool"])
+    def test_run_ensemble_keys_one_generator_per_chunk(self, monkeypatch, workers):
+        # one trajectory_rng call per trajectory, looked up through the module
+        # global, as the benchmark's tracer counts them; only the first call
+        # of each chunk builds a generator
         import lindbladsde.unraveling as unr
-        counter = unr._ZERO_COUNTER
-        assert counter.dtype == np.uint64 and np.array_equal(counter, np.zeros(4))
-        assert not counter.flags.writeable
+
+        model = preset_model("two-noise-correlated")
+        rho0 = uniform_superposition(2)
+        usable_cpus(monkeypatch, {0})
+        refuse_forks(monkeypatch)
+        expected_stats, expected_diag = run_ensemble(model, rho0, 0.002, 1e-3, 4097, seed=23)
+        original, calls = unr.trajectory_rng, []
+
+        def counting(seed, traj_index, reuse=None):
+            calls.append((traj_index, reuse is None))  # list.append is atomic under the GIL
+            return original(seed, traj_index, reuse)
+
+        monkeypatch.setattr(unr, "trajectory_rng", counting)
+        stats, diag = run_ensemble(model, rho0, 0.002, 1e-3, 4097, seed=23, workers=workers)
+        assert len(calls) == 4097
+        assert sorted(index for index, _ in calls) == list(range(4097))
+        assert sorted(index for index, fresh in calls if fresh) == [0, 4096]
+        assert np.array_equal(stats.mean_state, expected_stats.mean_state)
+        assert np.array_equal(stats.stderr, expected_stats.stderr)
+        assert np.array_equal(stats.times, expected_stats.times)
+        assert diag == expected_diag
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy loads numpy.random on first use; importing the package must
