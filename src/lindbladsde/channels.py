@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import LindbladModel, NumericalError, drift_operator, require_positive
+from .lindblad import LindbladModel, NumericalError, require_positive
 from .operators import hermitian_part
 
 
@@ -69,12 +69,11 @@ def build_infinitesimal_kraus(model: LindbladModel, dt: float,
             f"build_infinitesimal_kraus: expected {model.noise_count} increments, "
             f"got shape {dw.shape}"
         )
-    u = drift_operator(model)
     eye = np.eye(model.dim, dtype=complex)
     # The finiteness check below is the one report of an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         ops = np.array([
-            w * (eye + dt * u) + dwn * v
+            w * (eye + dt * model.drift) + dwn * v
             for w, v, dwn in zip(model.weights, model.lindblad_ops, dw)
         ])
     if not np.all(np.isfinite(ops)):

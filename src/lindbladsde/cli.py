@@ -202,8 +202,9 @@ def _write_output(path: str):
     regular file at path and then replaces it atomically; its owner and
     any hard links to it are not kept. An exception inside the block, or
     during the write, leaves path as it was and removes the temporary file.
-    A device or a pipe, such as /dev/null or /dev/stdout, is opened and
-    written in place.
+    A failure to write, close or replace the file, a full disk for example,
+    is a usage error, and closing never hides an earlier error. A device or
+    a pipe, such as /dev/null or /dev/stdout, is opened and written in place.
     """
     def unwritable(exc: OSError) -> _UsageError:
         return _UsageError(f"cannot write --out {path}: {exc.strerror or exc}")
@@ -225,15 +226,20 @@ def _write_output(path: str):
             raise unwritable(exc) from exc
 
     try:
-        with handle:
+        try:
             yield write
-        if not in_place:
-            try:
+        except BaseException:
+            with contextlib.suppress(OSError):  # the earlier error is the one to report
+                handle.close()
+            raise
+        try:
+            handle.close()
+            if not in_place:
                 if os.path.isfile(target):
                     os.chmod(written, stat.S_IMODE(os.stat(target).st_mode))
                 os.replace(written, target)
-            except OSError as exc:
-                raise unwritable(exc) from exc
+        except OSError as exc:
+            raise unwritable(exc) from exc
     except BaseException:
         if not in_place:
             with contextlib.suppress(FileNotFoundError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import LindbladModel, drift_operator, lindblad_rhs
+from .lindblad import LindbladModel, lindblad_rhs
 from .operators import adjoint, frobenius
 
 
@@ -86,7 +86,7 @@ def infinitesimal_operator_polynomials(model: LindbladModel) -> np.ndarray:
     w = model.weights[:, None, None]
     a = np.zeros((n, n + 2, d, d), complex)
     a[:, 0] = w * np.eye(d, dtype=complex)
-    a[:, 1] = w * drift_operator(model)
+    a[:, 1] = w * model.drift
     a[np.arange(n), 2 + np.arange(n)] = model.lindblad_ops
     return a
 

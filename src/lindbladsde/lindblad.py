@@ -347,5 +347,5 @@ def check_step_size(model: LindbladModel, dt: float) -> None:
             f"step size dt={dt!r} gives dt*(|H| + sum|v|^2) = {stiffness:.3g} > 0.1; "
             "discretization bias may dominate",
             RuntimeWarning,
-            stacklevel=5,  # past _prepare and _run_range: the runners' caller
+            stacklevel=4,  # past _run_range and the runner: the runner's caller
         )

@@ -61,8 +61,18 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger) / 2 on the last two axes."""
-    return 0.5 * (m + adjoint(m))
+    """(m + m^dagger) / 2 on the last two axes, as a new C-contiguous array.
+
+    The dtype is that of 0.5 * (m + m^dagger). m^dagger is copied into the
+    new array, m is added and the sum halved in place: summing into the
+    adjoint's temporary instead would return each matrix transposed from
+    256 KiB up. Addition commutes, so the bits are those of that formula.
+    """
+    m = np.asarray(m)
+    out = np.conjugate(np.swapaxes(m, -1, -2), out=np.empty(m.shape, np.result_type(0.5, m)))
+    np.add(m, out, out=out)
+    np.multiply(0.5, out, out=out)
+    return out
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -7,65 +7,25 @@ import numpy as np
 from .lindblad import LindbladModel
 from .operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 
+_ZERO = np.zeros((2, 2), complex)
+_ROOT_HALF = np.sqrt(0.5)
 
-def _dephasing() -> LindbladModel:
+# Each preset's (H, noise operators, weights, covariance), which preset_model
+# hands to LindbladModel, the one check of every model.
+_PRESETS = {
     # Anti-Hermitian noise operator: single trajectories preserve the trace.
-    return LindbladModel(
-        hamiltonian=np.zeros((2, 2), complex),
-        lindblad_ops=np.array([-1j * SIGMA_Z / np.sqrt(2.0)]),
-        weights=np.array([1.0]),
-        covariance=np.eye(1),
-    )
-
-
-def _amplitude_damping() -> LindbladModel:
+    "dephasing": (_ZERO, [-1j * SIGMA_Z / np.sqrt(2.0)], [1.0], np.eye(1)),
     # Decay at unit rate toward the ground state; the noise operator has a
     # Hermitian part, so only the ensemble mean preserves the trace.
-    return LindbladModel(
-        hamiltonian=np.zeros((2, 2), complex),
-        lindblad_ops=np.array([SIGMA_MINUS]),
-        weights=np.array([1.0]),
-        covariance=np.eye(1),
-    )
-
-
-def _stochastic_unitary_larmor() -> LindbladModel:
+    "amplitude-damping": (_ZERO, [SIGMA_MINUS], [1.0], np.eye(1)),
     # H and K both along z; qualifies for the exact-unitary stepper.
-    return LindbladModel(
-        hamiltonian=SIGMA_Z.copy(),
-        lindblad_ops=np.array([-1j * SIGMA_Z]),
-        weights=np.array([1.0]),
-        covariance=np.eye(1),
-    )
-
-
-def _two_noise_correlated() -> LindbladModel:
+    "stochastic-unitary-larmor": (SIGMA_Z, [-1j * SIGMA_Z], [1.0], np.eye(1)),
     # Two channels driven by the same Wiener increment (all-ones covariance).
-    root_half = np.sqrt(0.5)
-    return LindbladModel(
-        hamiltonian=np.zeros((2, 2), complex),
-        lindblad_ops=np.array([-1j * root_half * SIGMA_Z, -1j * root_half * SIGMA_X]),
-        weights=np.array([root_half, root_half]),
-        covariance=np.ones((2, 2)),
-    )
-
-
-_BUILDERS = {
-    "dephasing": _dephasing,
-    "amplitude-damping": _amplitude_damping,
-    "stochastic-unitary-larmor": _stochastic_unitary_larmor,
-    "two-noise-correlated": _two_noise_correlated,
+    "two-noise-correlated": (_ZERO, [-1j * _ROOT_HALF * SIGMA_Z, -1j * _ROOT_HALF * SIGMA_X],
+                             [_ROOT_HALF, _ROOT_HALF], np.ones((2, 2))),
 }
 
-PRESET_NAMES = tuple(_BUILDERS)
-
-# Presets whose noise operators are all anti-Hermitian, hence trajectory
-# trace preserving.
-TRACE_PRESERVING_PRESETS = (
-    "dephasing",
-    "stochastic-unitary-larmor",
-    "two-noise-correlated",
-)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def uniform_superposition(dim: int) -> np.ndarray:
@@ -80,10 +40,7 @@ def uniform_superposition(dim: int) -> np.ndarray:
 
 
 def preset_model(name: str) -> LindbladModel:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        ) from None
-    return builder()
+    """A new model of the preset name; KeyError naming the presets otherwise."""
+    if name not in _PRESETS:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return LindbladModel(*_PRESETS[name])

@@ -12,7 +12,7 @@ of single trajectories is not guaranteed by the linear scheme at all, so
 both are monitored and reported, never enforced.
 
 The update is computed in the kernels _euler_update and _unitary_update;
-each stepper is one entry of one table, _STEP_BUILDERS, which _prepare
+each stepper is one entry of one table, _STEP_BUILDERS, which _run_range
 reads once per run. A builder returns chunk_step(count), which _run_chunk
 calls when it starts: the step it returns owns whatever its kernel keeps
 between steps, for the Euler kernel an _EulerWorkspace of the chunk's
@@ -78,6 +78,7 @@ from .lindblad import (
 from .operators import (
     adjoint,
     check_hermitian,
+    hermitian_part,
     min_eigenvalues,
     purities,
 )
@@ -243,20 +244,15 @@ def _grouped_matmul(a: np.ndarray, b: np.ndarray, held: _Grouped | None = None) 
 
 
 def _hermitian_state(m: np.ndarray) -> np.ndarray:
-    """hermitian_part(m) with every zero +0.0, C-contiguous: the state both kernels return.
+    """hermitian_part(m) with every zero +0.0: the state both kernels return.
 
     Adding 0.0 turns -0.0 into +0.0 and leaves every other value as it is,
     so a kernel's result is that of its ungrouped products plus 0.0, bit
-    for bit, whichever trajectories share its groups. hermitian_part's own
-    operations, 0.5 (m + m^dagger), go into one new C-contiguous array:
-    hermitian_part returns each matrix transposed from 256 KiB up, where
-    numpy sums into the adjoint's temporary, and every copy and elementwise
-    pass of the next step then mixed two layouts. The layout moves no bit
-    of a chunk's records, at d = 2 to 8 under both steppers.
+    for bit, whichever trajectories share its groups. hermitian_part's
+    result is a new C-contiguous array, so the next step's copies and
+    elementwise passes see one layout.
     """
-    out = np.conjugate(np.swapaxes(m, -1, -2), out=np.empty(m.shape, dtype=complex))
-    np.add(m, out, out=out)
-    np.multiply(0.5, out, out=out)
+    out = hermitian_part(m)
     out += 0.0
     return out
 
@@ -509,7 +505,7 @@ def _run_chunk(chunk_step, rho0, basis, dt, n_steps, record_every, seed, start,
                count) -> _ChunkSums:
     """Evolve trajectories [start, start+count) together: the one time loop.
 
-    chunk_step is the run's update from _prepare; the chunk's own step,
+    chunk_step is the run's update from _run_range; the chunk's own step,
     chunk_step(count), advances the whole chunk with the (count, N)
     increments of one step; basis and dt give the increments. Step 0 is
     the initial state, which is recorded like every record_every-th step
@@ -538,27 +534,6 @@ def _run_chunk(chunk_step, rho0, basis, dt, n_steps, record_every, seed, start,
                 sq_norms.append(float(np.einsum("kab,kab->", rho, rho.conj()).real))
                 min_eig = min(min_eig, float(min_eigenvalues(rho).min()))
     return _ChunkSums(np.array(states), np.array(sq_norms), trace_min, trace_max, min_eig)
-
-
-def _prepare(model, rho0, t_final, dt, record_every, stepper, name):
-    """Checks, time grid and step update of a run, for the driver _run_range.
-
-    The one place a stepper name becomes an update: chunk_step(count)
-    returns the step(rho, dw) of one chunk, which advances its stacked
-    states rho (count, d, d) by dt with increments dw (count, N); the
-    stepper's entry of _STEP_BUILDERS builds it. rho0 (against the model's
-    dimension too), the stepper, the model's eligibility, dt and the grid
-    are checked here, in that order, once per run, so the kernels check
-    nothing and a model the stepper cannot run is reported as such at any
-    dt. Returns (rho0, n_steps, record times, chunk_step).
-    """
-    rho0 = _initial_state(model, rho0, name)
-    if stepper not in STEPPERS:
-        raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
-    chunk_step = _STEP_BUILDERS[stepper](model, dt)
-    check_step_size(model, dt)
-    n_steps, times = time_grid(t_final, dt, record_every, name)
-    return rho0, n_steps, times, chunk_step
 
 
 def _process_count(jobs: list) -> int:
@@ -678,15 +653,26 @@ def _run_range(model, rho0, t_final, dt, record_every, stepper, name, seed,
     """Record times and merged _ChunkSums of trajectories [start, start+count).
 
     The one driver of both runners. The last trajectory's key is checked
-    before any work, then _prepare runs once, the range is cut into
+    before any work, then rho0 (against the model's dimension too), the
+    stepper name, the model's eligibility, dt and the grid, in that order,
+    once per run, so the kernels check nothing and a model the stepper
+    cannot run is reported as such at any dt. This is the one place a
+    stepper name becomes an update: its entry of _STEP_BUILDERS builds
+    chunk_step, and chunk_step(count) returns the step(rho, dw) of one
+    chunk, which advances its stacked states rho (count, d, d) by dt with
+    increments dw (count, N). The range is cut into
     _CHUNK_TRAJECTORIES-trajectory jobs from start, and _map_chunks runs
     them. Their records are folded in chunk order as _map_chunks yields
     them, so the result is the same however the jobs ran, and no more than
     one record waits to be folded.
     """
     _check_key(seed, start + count - 1)
-    rho0, n_steps, times, chunk_step = _prepare(
-        model, rho0, t_final, dt, record_every, stepper, name)
+    rho0 = _initial_state(model, rho0, name)
+    if stepper not in STEPPERS:
+        raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
+    chunk_step = _STEP_BUILDERS[stepper](model, dt)
+    check_step_size(model, dt)
+    n_steps, times = time_grid(t_final, dt, record_every, name)
     jobs = [(s, min(_CHUNK_TRAJECTORIES, start + count - s))
             for s in range(start, start + count, _CHUNK_TRAJECTORIES)]
 

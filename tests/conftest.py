@@ -4,6 +4,15 @@ import numpy as np
 
 from lindbladsde.lindblad import LindbladModel
 
+# Presets whose noise operators are all anti-Hermitian, hence trajectory
+# trace preserving. Written by hand from the operators, so it is an oracle
+# independent of the model's residual report.
+TRACE_PRESERVING_PRESETS = (
+    "dephasing",
+    "stochastic-unitary-larmor",
+    "two-noise-correlated",
+)
+
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))

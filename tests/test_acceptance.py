@@ -13,17 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import model_with_covariance, philox, random_model, random_unit_diag_covariance
+from conftest import (
+    TRACE_PRESERVING_PRESETS,
+    model_with_covariance,
+    philox,
+    random_model,
+    random_unit_diag_covariance,
+)
 from lindbladsde.channels import apply_kraus, build_infinitesimal_kraus, choi_of
 from lindbladsde.ito import derive_stochastic_evolution
 from lindbladsde.lindblad import integrate_ode, lindblad_rhs
 from lindbladsde.operators import frobenius
-from lindbladsde.presets import (
-    PRESET_NAMES,
-    TRACE_PRESERVING_PRESETS,
-    preset_model,
-    uniform_superposition,
-)
+from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
 from lindbladsde.unraveling import (
     _euler_update,
     _trajectory_increments,

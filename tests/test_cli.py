@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -657,6 +658,32 @@ class TestOutputFile:
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             f"usage error: cannot write --out {out}: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_full_device_is_one_line_usage_error(self, capsys, command):
+        # the write fails, then closing flushes the same bytes and fails again
+        assert main([*WRITERS[command], "--out", "/dev/full"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "model report for 'dephasing':",
+            *preset_model("dephasing").report.summary().splitlines(),
+            "usage error: cannot write --out /dev/full: No space left on device",
+        ]
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_failed_replace_keeps_an_existing_file(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old bytes\n")
+        assert main([*WRITERS[command], "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"usage error: cannot write --out {out}: {os.strerror(errno.EACCES)}")
+        assert out.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_replacing_keeps_the_permission_bits(self, tmp_path):
         out = tmp_path / "choi.csv"

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox, random_density, random_hermitian, random_model
+from conftest import (
+    TRACE_PRESERVING_PRESETS,
+    philox,
+    random_density,
+    random_hermitian,
+    random_model,
+)
 from lindbladsde import lindblad
 from lindbladsde.ito import derive_stochastic_evolution
 from lindbladsde.lindblad import (
@@ -21,12 +27,7 @@ from lindbladsde.operators import (
     adjoint,
     frobenius,
 )
-from lindbladsde.presets import (
-    PRESET_NAMES,
-    TRACE_PRESERVING_PRESETS,
-    preset_model,
-    uniform_superposition,
-)
+from lindbladsde.presets import PRESET_NAMES, preset_model, uniform_superposition
 from lindbladsde.unraveling import run_ensemble, run_trajectory
 
 
@@ -193,6 +194,46 @@ class TestValidateModel:
     def test_summary_mentions_verdict(self):
         text = preset_model("dephasing").report.summary()
         assert "trajectory_trace_preserving" in text
+
+
+def preset_reference(name):
+    """(H, noise operators, weights, covariance) of a preset, as the
+    one-function-per-preset builders wrote them, kept here as the reference."""
+    root_half = np.sqrt(0.5)
+    zero = np.zeros((2, 2), complex)
+    return {
+        "dephasing": (zero, np.array([-1j * SIGMA_Z / np.sqrt(2.0)]),
+                      np.array([1.0]), np.eye(1)),
+        "amplitude-damping": (zero, np.array([SIGMA_MINUS]), np.array([1.0]), np.eye(1)),
+        "stochastic-unitary-larmor": (SIGMA_Z.copy(), np.array([-1j * SIGMA_Z]),
+                                      np.array([1.0]), np.eye(1)),
+        "two-noise-correlated": (
+            zero, np.array([-1j * root_half * SIGMA_Z, -1j * root_half * SIGMA_X]),
+            np.array([root_half, root_half]), np.ones((2, 2))),
+    }[name]
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_arrays_keep_the_builders_bits(self, name):
+        model = preset_model(name)
+        got = (model.hamiltonian, model.lindblad_ops, model.weights, model.covariance)
+        for ours, ref in zip(got, preset_reference(name), strict=True):
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            # word for word, so that -0.0 and +0.0 differ
+            assert np.array_equal(np.ascontiguousarray(ours).view(np.uint64),
+                                  np.ascontiguousarray(ref).view(np.uint64))
+
+    def test_names(self):
+        assert PRESET_NAMES == ("dephasing", "amplitude-damping",
+                                "stochastic-unitary-larmor", "two-noise-correlated")
+
+    def test_unknown_name_lists_every_preset(self):
+        with pytest.raises(KeyError) as info:
+            preset_model("no-such")
+        message = str(info.value)
+        assert "'no-such'" in message
+        assert all(name in message for name in PRESET_NAMES)
 
 
 class TestDriftOperator:

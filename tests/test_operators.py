@@ -17,6 +17,7 @@ from lindbladsde.operators import (
     check_density_matrix,
     check_hermitian,
     frobenius,
+    hermitian_part,
     hermiticity_defect,
     min_eigenvalues,
     purities,
@@ -68,6 +69,34 @@ class TestAdjoint:
         lhs = adjoint(a @ b)
         rhs = loop_matmul(loop_adjoint(b), loop_adjoint(a))
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+class TestHermitianPart:
+    # from 256 KiB up numpy returned the formula's sum transposed
+    @pytest.mark.parametrize("shape", [(2, 2), (128, 128), (4096, 2, 2)])
+    def test_words_of_the_formula_in_a_contiguous_array(self, shape):
+        rng = philox(13)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m[..., 0, 1] = -0.0  # and the sign of a zero is kept
+        out = hermitian_part(m)
+        formula = 0.5 * (m + adjoint(m))
+        assert out.flags.c_contiguous and out.dtype == formula.dtype
+        assert np.array_equal(out.view(np.uint64),
+                              np.ascontiguousarray(formula).view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.complex64])
+    def test_dtype_of_the_formula(self, dtype):
+        m = (10 * philox(14).standard_normal((3, 4, 4))).astype(dtype)
+        formula = 0.5 * (m + adjoint(m))
+        out = hermitian_part(m)
+        assert out.dtype == formula.dtype
+        assert np.array_equal(out, formula)
+
+    def test_input_is_not_modified(self):
+        m = random_complex(philox(15), 3)
+        kept = m.copy()
+        hermitian_part(m)
+        assert np.array_equal(m, kept)
 
 
 class TestStructureChecks:

@@ -1,6 +1,7 @@
 """The scripts on made-up inputs: bench_pair's verdict rule and run record,
 without running the benchmark, and code_lines' count."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -101,8 +102,50 @@ class A:
     assert capsys.readouterr().out.splitlines()[-1].split() == ["8", "total"]
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "lindbladsde").glob("*.py")),
-                         ids=lambda p: p.name)
+# The file names are unique across the three directories, so they stay the ids.
+PYTHON_FILES = sorted(f for d in ("src/lindbladsde", "tests", "scripts")
+                      for f in (ROOT / d).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: p.name)
 def test_source_lines_fit_110_columns(path):
     long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 110]
-    assert long == [], f"{path.name}: lines over 110 columns: {long}"
+    assert long == [], f"{path.relative_to(ROOT)}: lines over 110 columns: {long}"
+
+
+def unused_imports(source):
+    """Names bound by the module-level imports of source that nothing else reads.
+
+    from __future__ imports are left out; a dotted import binds its first part.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+def test_unused_imports_finds_only_the_unread_names():
+    source = """from __future__ import annotations
+import os.path
+import numpy as np
+from json import dumps, loads as parse
+from .lindblad import drift_operator, lindblad_rhs
+
+def f(x: np.ndarray):
+    return os.path.join(parse(x), lindblad_rhs)
+"""
+    assert unused_imports(source) == ["drift_operator (line 5)", "dumps (line 4)"]
+
+
+# __init__.py imports to re-export
+@pytest.mark.parametrize("path", [p for p in PYTHON_FILES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    unused = unused_imports(path.read_text())
+    assert unused == [], f"{path.relative_to(ROOT)}: unused imports: {unused}"

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TRACE_PRESERVING_PRESETS,
     commutator,
     model_with_covariance,
     philox,
@@ -36,7 +37,7 @@ from lindbladsde.operators import (
     frobenius,
     hermitian_part,
 )
-from lindbladsde.presets import TRACE_PRESERVING_PRESETS, preset_model, uniform_superposition
+from lindbladsde.presets import preset_model, uniform_superposition
 from lindbladsde.unraveling import (
     _GROUP_MULTIPLIES,
     _ChunkSums,
